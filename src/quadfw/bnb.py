@@ -20,7 +20,7 @@ import numpy as np
 from . import lns
 from .config import Config
 from .fw import ActiveSet, RegionInfeasible, bpcg
-from .lmo import Region, VertexCache, region_from_problem
+from .lmo import VertexCache, most_fractional, region_from_problem, vertex_key
 from .model import (
     Problem,
     VarKind,
@@ -29,7 +29,6 @@ from .model import (
 )
 from .penalty import SmoothObjective
 
-_FRAC_TOL = 1e-6
 _LNS_COOLDOWN = 25  # nodes between ASENS / RINS invocations
 
 
@@ -126,7 +125,7 @@ class SolutionPool:
         """Evaluate a candidate against the original problem; returns True
         when it becomes the new incumbent."""
         cand = self.repair(self._snap(x))
-        key = np.round(cand, 9).tobytes()
+        key = vertex_key(cand)
         if key in self.entries:
             return False
         x_orig = self.uncrush(cand)
@@ -167,26 +166,6 @@ class SolutionPool:
 # ---------------------------------------------------------------------------
 # branching
 # ---------------------------------------------------------------------------
-
-
-def select_branching_variable(
-    x_relax: np.ndarray,
-    integrality: list[VarKind],
-    lb: np.ndarray,
-    ub: np.ndarray,
-) -> int | None:
-    """Most fractional integer variable; ties go to the lowest index."""
-    best, best_score = None, 0.0
-    for k, kind in enumerate(integrality):
-        if kind is VarKind.CONTINUOUS:
-            continue
-        frac = x_relax[k] - math.floor(x_relax[k])
-        if _FRAC_TOL < frac < 1.0 - _FRAC_TOL:
-            score = min(frac, 1.0 - frac)
-            if score > best_score + 1e-12:
-                best_score = score
-                best = k
-    return best
 
 
 def branch(node: Node, k: int, x_relax: np.ndarray, index_start: int = 0) -> tuple[Node, Node]:
@@ -283,7 +262,7 @@ def solve(
     uncrush = uncrush if uncrush is not None else _identity
     repair = repair if repair is not None else _identity
     if objective is None:
-        objective = SmoothObjective(problem, config.p, config.penalty_weight_mode)
+        objective = SmoothObjective(problem, config.p)
 
     t0 = time.monotonic()
     if deadline is None:
@@ -438,7 +417,7 @@ def solve(
                 except ValueError:  # non-bipartite interaction graph
                     pure_qubo = False
 
-            k = select_branching_variable(x_relax, problem.integrality, node.lb, node.ub)
+            k = most_fractional(x_relax, region0.integer_mask)
             if k is not None:
                 # children split the active set the relaxation ended with
                 node.active_set = result.active_set

@@ -30,7 +30,6 @@ class Config:
     enable_ftg: bool = True
     enable_qubo_bipartite: bool = False  # outperformed by the other heuristics
     enable_lns: bool = True  # master switch, off inside recursive sub-solves
-    penalty_weight_mode: str = "uniform"
     tol_cons: float = 1e-6
     tol_int: float = 1e-6
     lmo_time_budget: float = 1.0

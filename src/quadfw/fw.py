@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lmo import Region, VertexCache, lazy_lookup, mip_lmo
+from .lmo import Region, VertexCache, lazy_lookup, mip_lmo, vertex_key
 from .penalty import SmoothObjective
 
 WEIGHT_TOL = 1e-12
@@ -37,14 +37,10 @@ class ActiveSet:
         self.weights: list[float] = list(weights or [])
         if len(self.vertices) != len(self.weights):
             raise ValueError("vertex/weight length mismatch")
-        self._keys = {self._key(v): i for i, v in enumerate(self.vertices)}
+        self._keys = {vertex_key(v): i for i, v in enumerate(self.vertices)}
         if len(self._keys) != len(self.vertices):
             raise ValueError("duplicate vertices in active set")
         self._x: np.ndarray | None = None
-
-    @staticmethod
-    def _key(v: np.ndarray) -> bytes:
-        return np.round(np.asarray(v, dtype=float), 9).tobytes()
 
     @classmethod
     def from_vertex(cls, v: np.ndarray) -> "ActiveSet":
@@ -62,10 +58,10 @@ class ActiveSet:
         return self._x
 
     def find(self, v: np.ndarray) -> int | None:
-        return self._keys.get(self._key(v))
+        return self._keys.get(vertex_key(v))
 
     def _rebuild_index(self) -> None:
-        self._keys = {self._key(v): i for i, v in enumerate(self.vertices)}
+        self._keys = {vertex_key(v): i for i, v in enumerate(self.vertices)}
 
     def _drop_zero_weights(self) -> list[np.ndarray]:
         dropped = []
@@ -92,7 +88,7 @@ class ActiveSet:
         if idx is None:
             self.vertices.append(np.asarray(v, dtype=float).copy())
             self.weights.append(gamma)
-            self._keys[self._key(v)] = len(self.vertices) - 1
+            self._keys[vertex_key(v)] = len(self.vertices) - 1
         else:
             self.weights[idx] += gamma
         dropped = self._drop_zero_weights()

@@ -305,7 +305,7 @@ def solve_lp(
     if np.any(lb > ub + 1e-12):
         return LpResult(None, math.inf, "infeasible")
     if not region.rows:
-        x = np.where(direction > 0, lb, np.where(direction < 0, ub, lb)).astype(float)
+        x = box_lmo(direction, region.with_bounds(lb, ub))
         return LpResult(x, float(direction @ x), "optimal")
 
     a_rows = []
@@ -346,7 +346,8 @@ class MipResult:
     trusted: bool = True
 
 
-def _most_fractional(x: np.ndarray, int_mask: np.ndarray) -> int | None:
+def most_fractional(x: np.ndarray, int_mask: np.ndarray) -> int | None:
+    """Most fractional integer variable; ties go to the lowest index."""
     best, best_score = None, 0.0
     for k in np.flatnonzero(int_mask):
         frac = x[k] - math.floor(x[k])
@@ -391,7 +392,7 @@ def mip_lmo(
         return MipResult(None, math.inf, "infeasible")
 
     if not region.rows:
-        x = box_lmo(direction, Region(lb, ub, [], int_mask))
+        x = box_lmo(direction, region.with_bounds(lb, ub))
         return MipResult(x, float(direction @ x), "optimal")
 
     stop_at = time.monotonic() + time_budget
@@ -422,7 +423,7 @@ def mip_lmo(
             continue
         if res.value >= incumbent_val - 1e-9:
             continue
-        k = _most_fractional(res.point, int_mask)
+        k = most_fractional(res.point, int_mask)
         if k is None:
             x = _snap_integers(res.point, int_mask)
             val = float(direction @ x)
@@ -440,7 +441,7 @@ def mip_lmo(
     if timed_out:
         if incumbent is not None:
             return MipResult(incumbent, incumbent_val, "timeout", trusted=True)
-        x = box_lmo(direction, Region(lb, ub, [], int_mask))
+        x = box_lmo(direction, region.with_bounds(lb, ub))
         return MipResult(x, float(direction @ x), "timeout", trusted=False)
     if incumbent is None:
         if any_lp_error:
@@ -452,6 +453,11 @@ def mip_lmo(
 # ---------------------------------------------------------------------------
 # vertex cache / lazification
 # ---------------------------------------------------------------------------
+
+
+def vertex_key(v: np.ndarray) -> bytes:
+    """Identity of a vertex: its coordinates rounded at 1e-9."""
+    return np.round(np.asarray(v, dtype=float), 9).tobytes()
 
 
 class VertexCache:
@@ -468,16 +474,12 @@ class VertexCache:
     def __len__(self) -> int:
         return len(self._vertices)
 
-    @staticmethod
-    def _key(v: np.ndarray) -> bytes:
-        return np.round(np.asarray(v, dtype=float), 9).tobytes()
-
     def insert(self, v: np.ndarray, region: Region) -> bool:
         """Insert a vertex after validating region membership; returns
         False for duplicates or vertices violating the region."""
         if not region.contains(v, ROW_FEASIBILITY_TOL, INT_TOL):
             return False
-        key = self._key(v)
+        key = vertex_key(v)
         if key in self._keys:
             return False
         self._keys.add(key)

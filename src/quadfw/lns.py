@@ -12,12 +12,12 @@ nested LNS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fw import ActiveSet, RegionInfeasible, bpcg
-from .lmo import Region, mip_lmo
+from .lmo import LinearRow, Region, mip_lmo, vertex_key
 from .model import Problem, VarKind
 from .penalty import SmoothObjective
 
@@ -122,14 +122,14 @@ def follow_the_gradient(
     if res.point is None or not res.trusted:
         return None
     visited = [res.point]
-    seen = {np.round(res.point, 9).tobytes()}
+    seen = {vertex_key(res.point)}
     v = res.point
     for _ in range(budget):
         grad = objective.gradient(v)
         res = mip_lmo(grad, region, time_budget=lmo_time_budget, deadline=deadline)
         if res.point is None or not res.trusted:
             break
-        key = np.round(res.point, 9).tobytes()
+        key = vertex_key(res.point)
         if key in seen:
             break
         seen.add(key)
@@ -187,8 +187,6 @@ def asens(
             ub[k] = min(ub[k], new_hi)
     if np.any(lb > ub):
         return None
-    from dataclasses import replace
-
     return subsolve(replace(problem, lb=lb, ub=ub), budget)
 
 
@@ -211,8 +209,6 @@ def rins(
             val = _half_up(val)
         val = min(max(val, lb[k]), ub[k])
         lb[k] = ub[k] = val
-    from dataclasses import replace
-
     return subsolve(replace(problem, lb=lb, ub=ub), budget)
 
 
@@ -281,8 +277,6 @@ def minimum_vertex_cover(
     ub = np.ones(m)
     for v in graph.forced:
         lb[pos[v]] = 1.0
-    from .lmo import LinearRow
-
     rows = [
         LinearRow(_cover_row(m, pos[i], pos[j]), -1.0)
         for (i, j) in sorted(graph.edges)
@@ -338,8 +332,6 @@ def undercover(
     direction = linearize(problem.terms_obj, problem.d.astype(float))
     if direction is None:
         return None
-    from .lmo import LinearRow
-
     rows = []
     for con in problem.constraints:
         a = linearize(con.terms, con.b_dense(problem.n))

@@ -72,8 +72,7 @@ class SmoothObjective:
         self.n_value_evals += 1
         x = np.asarray(x, dtype=float)
         total = self.base_value(x)
-        for w, (a, b, c) in zip(self.weights, self._cons):
-            g = float(0.5 * x @ a @ x + b @ x + c)
+        for w, g in zip(self.weights, self.constraint_values(x).tolist()):
             if g > 0.0:
                 total += w * g**self.p
         return total
@@ -82,26 +81,10 @@ class SmoothObjective:
         self.n_gradient_evals += 1
         x = np.asarray(x, dtype=float)
         grad = self.q_mat @ x + self.d
-        for w, (a, b, c) in zip(self.weights, self._cons):
-            g = float(0.5 * x @ a @ x + b @ x + c)
+        for w, g, (a, b, _) in zip(self.weights, self.constraint_values(x).tolist(), self._cons):
             if g > 0.0:
                 grad = grad + (w * self.p * g ** (self.p - 1.0)) * (a @ x + b)
         return grad
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        self.n_value_evals += 1
-        self.n_gradient_evals += 1
-        x = np.asarray(x, dtype=float)
-        val = self.base_value(x)
-        grad = self.q_mat @ x + self.d
-        for w, (a, b, c) in zip(self.weights, self._cons):
-            g = float(0.5 * x @ a @ x + b @ x + c)
-            if g > 0.0:
-                val += w * g**self.p
-                grad = grad + (w * self.p * g ** (self.p - 1.0)) * (a @ x + b)
-        return val, grad
-
-
-def relaxed_value_and_gradient(obj: SmoothObjective, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Penalty-relaxed objective value and gradient at ``x``."""
-    return obj.value_and_gradient(x)
+        return self.value(x), self.gradient(x)

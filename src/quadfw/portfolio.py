@@ -93,7 +93,7 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
 
     def run_worker(index: int, cfg: Config, prob: Problem) -> None:
         try:
-            objective = SmoothObjective(prob, cfg.p, cfg.penalty_weight_mode)
+            objective = SmoothObjective(prob, cfg.p)
             trace = bnb.solve(
                 prob,
                 cfg,

@@ -41,7 +41,7 @@ class Spectrum:
     """Eigendecomposition of a symmetric matrix; Q = V diag(lam) V'."""
 
     eigenvalues: np.ndarray  # ascending
-    rotation: np.ndarray  # accumulated rotations, for validation only
+    rotation: np.ndarray  # eigenvectors as columns, for validation only
 
 
 @dataclass
@@ -339,61 +339,24 @@ def reformulate_perspective(problem: Problem) -> tuple[Problem, list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigendecomposition (cyclic Jacobi)
+# symmetric eigendecomposition (LAPACK via numpy)
 # ---------------------------------------------------------------------------
 
 
-def eigen_symmetric(q_mat: np.ndarray, max_sweeps: int = 100) -> Spectrum:
-    """Eigendecomposition by cyclic Jacobi rotations.
+def eigen_symmetric(q_mat: np.ndarray) -> Spectrum:
+    """Eigendecomposition of a symmetric matrix by ``numpy.linalg.eigh``.
 
-    Sweeps until the largest off-diagonal magnitude is at most
-    ``1e-10 * ||Q||_F``.  Eigenvalues are returned ascending with the
-    rotation matrix columns reordered to match.
+    Eigenvalues are returned ascending with the eigenvector columns in
+    the same order.
     """
     q_mat = np.asarray(q_mat, dtype=float)
     n = q_mat.shape[0]
     if q_mat.shape != (n, n):
         raise PresolveError("matrix must be square")
-    if n > 2000:
-        raise PresolveError("matrix too large for the Jacobi eigensolver")
     if n and np.max(np.abs(q_mat - q_mat.T)) > 1e-9:
         raise PresolveError("matrix is not symmetric")
-
-    a = 0.5 * (q_mat + q_mat.T)
-    v = np.eye(n)
-    fro = np.linalg.norm(a, "fro")
-    stop = 1e-10 * fro if fro > 0 else 0.0
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            row = np.abs(a[p, p + 1:])
-            if row.size:
-                off = max(off, row.max())
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= stop / max(n, 1):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-
-    lam = np.diag(a).copy()
-    order = np.argsort(lam, kind="stable")
-    return Spectrum(eigenvalues=lam[order], rotation=v[:, order])
+    lam, vecs = np.linalg.eigh(0.5 * (q_mat + q_mat.T))
+    return Spectrum(eigenvalues=lam, rotation=vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ from quadfw.bnb import (
     RestartState,
     branch,
     restart_policy,
-    select_branching_variable,
     solve,
 )
 from quadfw.config import Config
 from quadfw.fw import ActiveSet
+from quadfw.lmo import most_fractional
 from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
 from quadfw.oracle import brute_force
 
@@ -28,25 +28,17 @@ def binary_problem(n, terms, d, cons=()):
 
 class TestSelectBranching:
     def test_most_fractional_wins(self):
-        kinds = [VarKind.INTEGER, VarKind.INTEGER]
-        k = select_branching_variable(np.array([0.5, 0.9]), kinds,
-                                      np.zeros(2), np.ones(2))
+        k = most_fractional(np.array([0.5, 0.9]), np.array([True, True]))
         assert k == 0
 
     def test_integral_point(self):
-        kinds = [VarKind.INTEGER, VarKind.INTEGER]
-        assert select_branching_variable(np.array([1.0, 0.0]), kinds,
-                                         np.zeros(2), np.ones(2)) is None
+        assert most_fractional(np.array([1.0, 0.0]), np.array([True, True])) is None
 
     def test_fractional_continuous_ignored(self):
-        kinds = [VarKind.CONTINUOUS, VarKind.INTEGER]
-        assert select_branching_variable(np.array([0.5, 1.0]), kinds,
-                                         np.zeros(2), np.ones(2)) is None
+        assert most_fractional(np.array([0.5, 1.0]), np.array([False, True])) is None
 
     def test_tie_goes_to_lowest_index(self):
-        kinds = [VarKind.INTEGER, VarKind.INTEGER]
-        assert select_branching_variable(np.array([0.5, 0.5]), kinds,
-                                         np.zeros(2), np.ones(2)) == 0
+        assert most_fractional(np.array([0.5, 0.5]), np.array([True, True])) == 0
 
 
 class TestBranch:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from quadfw.bnb import SolutionPool, SolveTrace
+from quadfw.fw import ActiveSet
 from quadfw.lmo import (
     LinearRow,
     Region,
@@ -13,7 +15,7 @@ from quadfw.lmo import (
     mip_lmo,
     solve_lp,
 )
-from quadfw.model import Sense
+from quadfw.model import Problem, Sense, VarKind
 
 
 def box(lb, ub, integer=None, rows=()):
@@ -260,6 +262,30 @@ class TestVertexCache:
         cache = VertexCache()
         assert cache.insert(np.array([0.5]), region)
         assert not cache.insert(np.array([0.5 + 1e-12]), region)
+
+    def test_shared_vertex_identity(self):
+        # continuous variables, so pool snapping keeps the perturbation
+        problem = Problem(
+            n=2, terms_obj=[], d=np.zeros(2), c0=0.0, constraints=[],
+            lb=np.zeros(2), ub=np.ones(2), integrality=[VarKind.CONTINUOUS] * 2,
+        )
+        region = box([0, 0], [1, 1])
+        v = np.array([0.25, 0.75])
+
+        def counts(offset):
+            other = v + offset
+            active = ActiveSet.from_vertex(v)
+            cache = VertexCache()
+            cache.insert(v, region)
+            cache.insert(other, region)
+            pool = SolutionPool(problem, problem, lambda x: x, lambda x: x,
+                                1e-6, 1e-6, clock=lambda: 0.0, trace=SolveTrace())
+            pool.submit(v)
+            pool.submit(other)
+            return (active.find(other) is not None), len(cache), len(pool.entries)
+
+        assert counts(1e-12) == (True, 1, 1)
+        assert counts(1e-6) == (False, 2, 2)
 
     def test_scan_most_recent_first(self):
         region = box([0, 0], [1, 1])

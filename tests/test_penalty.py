@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadfw.model import Problem, QuadConstraint, VarKind, eval_objective
-from quadfw.penalty import SmoothObjective, penalty_value, relaxed_value_and_gradient
+from quadfw.penalty import SmoothObjective, penalty_value
 
 from conftest import random_miqcqp
 
@@ -42,7 +42,7 @@ class TestRelaxedObjective:
 
     def test_hand_computed_value_and_gradient(self):
         obj = SmoothObjective(self.unit_ball_problem(), p=1.5)
-        val, grad = relaxed_value_and_gradient(obj, np.array([2.0]))
+        val, grad = obj.value_and_gradient(np.array([2.0]))
         assert val == pytest.approx(3.0**1.5)
         # 1.5 * 3^0.5 * (2 * 2) = 6 sqrt(3)
         assert grad[0] == pytest.approx(6.0 * math.sqrt(3.0))
