@@ -96,8 +96,6 @@ class SolutionPool:
         original: Problem,
         uncrush,
         repair,
-        tol_cons: float,
-        tol_int: float,
         clock,
         trace: SolveTrace,
         store: IncumbentStore | None = None,
@@ -106,8 +104,6 @@ class SolutionPool:
         self.original = original
         self.uncrush = uncrush
         self.repair = repair
-        self.tol_cons = tol_cons
-        self.tol_int = tol_int
         self.clock = clock
         self.trace = trace
         self.store = store
@@ -129,7 +125,7 @@ class SolutionPool:
         if key in self.entries:
             return False
         x_orig = self.uncrush(cand)
-        report = check_feasibility(self.original, x_orig, self.tol_cons, self.tol_int)
+        report = check_feasibility(self.original, x_orig)
         value = eval_objective(self.original, x_orig)
         entry = PoolEntry(cand, x_orig, value, report.max_violation, report.feasible)
         self.entries[key] = entry
@@ -269,7 +265,7 @@ def solve(
         deadline = t0 + config.time_limit
     trace = SolveTrace()
     pool = SolutionPool(
-        problem, original, uncrush, repair, config.tol_cons, config.tol_int,
+        problem, original, uncrush, repair,
         clock=lambda: time.monotonic() - t0, trace=trace, store=store,
     )
     region0 = region_from_problem(problem)
@@ -345,11 +341,9 @@ def solve(
                 region,
                 warm=node.active_set,
                 max_iter=config.fw_iter,
-                eps=config.fw_eps,
                 cache=cache,
                 deadline=deadline,
                 init_direction=node.init_direction,
-                lmo_time_budget=config.lmo_time_budget,
             )
         except RegionInfeasible:
             infeasible_node = True
@@ -375,8 +369,7 @@ def solve(
                 ftg_pending = False
                 lns.follow_the_gradient(
                     objective, region, rng.standard_normal(problem.n),
-                    budget=50, lmo_time_budget=config.lmo_time_budget,
-                    deadline=deadline, submit=pool.submit,
+                    budget=50, deadline=deadline, submit=pool.submit,
                 )
             if (
                 run_lns
@@ -402,10 +395,7 @@ def solve(
                 reference = pool.best_reference()
                 if reference is not None:
                     undercover_done = True
-                    cand = lns.undercover(
-                        problem, reference, budget,
-                        lmo_time_budget=config.lmo_time_budget, deadline=deadline,
-                    )
+                    cand = lns.undercover(problem, reference, budget, deadline=deadline)
                     if cand is not None:
                         pool.submit(cand)
             if pure_qubo and pool.incumbent_point is not None:

@@ -19,7 +19,6 @@ class Config:
     p: float = 1.5
     ell: float = 0.8  # best-performing convexification proportion
     fw_iter: int = 10
-    fw_eps: float = 1e-4
     restart_interval: int = 100
     seed: int = 0
     node_limit: int | None = None
@@ -30,9 +29,6 @@ class Config:
     enable_ftg: bool = True
     enable_qubo_bipartite: bool = False  # outperformed by the other heuristics
     enable_lns: bool = True  # master switch, off inside recursive sub-solves
-    tol_cons: float = 1e-6
-    tol_int: float = 1e-6
-    lmo_time_budget: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:

@@ -189,7 +189,6 @@ def bpcg(
     cache: VertexCache | None = None,
     deadline: float | None = None,
     init_direction: np.ndarray | None = None,
-    lmo_time_budget: float = 1.0,
 ) -> FwResult:
     """Run BPCG until the dual gap falls below eps, the iteration budget
     is exhausted, or the deadline passes.
@@ -205,7 +204,7 @@ def bpcg(
     def full_lmo(direction: np.ndarray):
         nonlocal lmo_calls
         lmo_calls += 1
-        res = mip_lmo(direction, region, time_budget=lmo_time_budget, deadline=deadline)
+        res = mip_lmo(direction, region, deadline=deadline)
         if res.status == "infeasible":
             raise RegionInfeasible("LMO region is infeasible")
         if res.point is None:

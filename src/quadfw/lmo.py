@@ -1,5 +1,9 @@
 """Linear minimization oracles over the mixed-integer feasible region.
 
+The region is a box, one row block ``a @ x <= b`` and an integrality
+mask.  Presolve normalizes every linear row to ``<=`` before a region is
+built, so the oracles never see GE or EQ rows.
+
 Three layers:
 
 * ``box_lmo`` -- closed-form minimizer over a box (no rows),
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,31 +33,30 @@ INT_TOL = 1e-6
 _LP_TOL = 1e-9
 
 
-class LmoError(RuntimeError):
-    pass
-
-
-@dataclass
-class LinearRow:
-    a: np.ndarray
-    rhs: float
-    sense: Sense = Sense.LE
-
-
 @dataclass
 class Region:
-    """Box bounds, linear rows and integrality over a fixed variable set."""
+    """Box bounds, the rows ``a @ x <= b`` and integrality over a fixed
+    variable set.
+
+    ``a`` has shape ``(len(b), n)``; omitting ``a`` and ``b`` gives a
+    region without rows.
+    """
 
     lb: np.ndarray
     ub: np.ndarray
-    rows: list[LinearRow] = field(default_factory=list)
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
     integer_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.lb = np.asarray(self.lb, dtype=float)
         self.ub = np.asarray(self.ub, dtype=float)
+        self.b = np.zeros(0) if self.b is None else np.asarray(self.b, dtype=float)
+        # (len(b), n), not (-1, n): the latter is ambiguous when n == 0
+        a = np.zeros(0) if self.a is None else np.asarray(self.a, dtype=float)
+        self.a = a.reshape(len(self.b), self.n)
         if self.integer_mask is None:
-            self.integer_mask = np.zeros(len(self.lb), dtype=bool)
+            self.integer_mask = np.zeros(self.n, dtype=bool)
         else:
             self.integer_mask = np.asarray(self.integer_mask, dtype=bool)
 
@@ -62,20 +65,14 @@ class Region:
         return len(self.lb)
 
     def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "Region":
-        return Region(lb, ub, self.rows, self.integer_mask)
+        return Region(lb, ub, self.a, self.b, self.integer_mask)
 
     def contains(self, x: np.ndarray, tol: float = ROW_FEASIBILITY_TOL,
                  int_tol: float | None = None) -> bool:
         if np.any(x < self.lb - tol) or np.any(x > self.ub + tol):
             return False
-        for row in self.rows:
-            val = float(row.a @ x)
-            if row.sense is Sense.LE and val > row.rhs + tol:
-                return False
-            if row.sense is Sense.GE and val < row.rhs - tol:
-                return False
-            if row.sense is Sense.EQ and abs(val - row.rhs) > tol:
-                return False
+        if np.any(self.a @ x > self.b + tol):
+            return False
         if int_tol is not None:
             frac = np.abs(x[self.integer_mask] - np.round(x[self.integer_mask]))
             if frac.size and frac.max() > int_tol:
@@ -85,11 +82,11 @@ class Region:
 
 def region_from_problem(problem: Problem) -> Region:
     """Region over a presolved problem: bounds plus its linear rows."""
-    rows = []
-    for con in problem.constraints:
-        if con.is_linear() and con.sense is Sense.LE:
-            rows.append(LinearRow(con.b_dense(problem.n), -con.c))
-    return Region(problem.lb.copy(), problem.ub.copy(), rows, problem.integer_mask())
+    rows = [con for con in problem.constraints
+            if con.is_linear() and con.sense is Sense.LE]
+    a = [con.b_dense(problem.n) for con in rows]
+    b = [-con.c for con in rows]
+    return Region(problem.lb.copy(), problem.ub.copy(), a, b, problem.integer_mask())
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +124,7 @@ class _BoundedSimplex:
 
     MAX_ITER = 20000
 
-    def __init__(self, a_rows: np.ndarray, rhs: np.ndarray, senses: list[Sense],
+    def __init__(self, a_rows: np.ndarray, rhs: np.ndarray,
                  cost: np.ndarray, lb: np.ndarray, ub: np.ndarray):
         m, n = a_rows.shape
         self.m, self.n_struct = m, n
@@ -137,9 +134,6 @@ class _BoundedSimplex:
         self.A[:, n:] = np.eye(m)
         self.lo = np.concatenate([lb, np.zeros(m)])
         self.hi = np.concatenate([ub, np.full(m, np.inf)])
-        for i, s in enumerate(senses):
-            if s is Sense.EQ:
-                self.hi[n + i] = 0.0
         self.b = rhs.astype(float)
         self.cost = np.concatenate([cost, np.zeros(m)])
         self.at_upper = np.zeros(n_total, dtype=bool)
@@ -155,13 +149,11 @@ class _BoundedSimplex:
         art_cols = []
         for i in range(self.m):
             slack = self.n_struct + i
-            if resid[i] >= 0 and self.hi[slack] > 0:
+            if resid[i] >= 0:
                 self.basis.append(slack)  # slack absorbs the residual
-            elif abs(resid[i]) <= _LP_TOL and self.hi[slack] == 0.0:
-                self.basis.append(slack)
             else:
                 col = np.zeros(self.m)
-                col[i] = 1.0 if resid[i] >= 0 else -1.0
+                col[i] = -1.0
                 art_cols.append(col)
                 self.basis.append(n_total + len(art_cols) - 1)
         if art_cols:
@@ -284,46 +276,20 @@ class _BoundedSimplex:
         return "optimal", x[: self.n_struct], ""
 
 
-def solve_lp(
-    direction: np.ndarray,
-    region: Region,
-    var_fixings: dict[int, float] | None = None,
-) -> LpResult:
+def solve_lp(direction: np.ndarray, region: Region) -> LpResult:
     """Minimize direction'x over the region's rows and bounds.
 
-    ``var_fixings`` pins selected variables (must lie within bounds).
     Falls back to the coordinatewise box rule when there are no rows.
     """
     direction = np.asarray(direction, dtype=float)
-    lb = region.lb.copy()
-    ub = region.ub.copy()
-    if var_fixings:
-        for k, v in var_fixings.items():
-            if v < region.lb[k] - 1e-9 or v > region.ub[k] + 1e-9:
-                raise LmoError(f"fixing of variable {k} violates its bounds")
-            lb[k] = ub[k] = v
+    lb, ub = region.lb, region.ub
     if np.any(lb > ub + 1e-12):
         return LpResult(None, math.inf, "infeasible")
-    if not region.rows:
-        x = box_lmo(direction, region.with_bounds(lb, ub))
+    if not len(region.b):
+        x = box_lmo(direction, region)
         return LpResult(x, float(direction @ x), "optimal")
 
-    a_rows = []
-    rhs = []
-    senses = []
-    for row in region.rows:
-        if row.sense is Sense.GE:
-            a_rows.append(-row.a)
-            rhs.append(-row.rhs)
-            senses.append(Sense.LE)
-        else:
-            a_rows.append(row.a)
-            rhs.append(row.rhs)
-            senses.append(row.sense)
-    simplex = _BoundedSimplex(
-        np.asarray(a_rows, dtype=float), np.asarray(rhs, dtype=float), senses,
-        direction, lb, ub,
-    )
+    simplex = _BoundedSimplex(region.a, region.b, direction, lb, ub)
     status, x, detail = simplex.solve()
     if status == "optimal":
         x = np.clip(x, lb, ub)
@@ -391,7 +357,7 @@ def mip_lmo(
     if np.any(lb > ub):
         return MipResult(None, math.inf, "infeasible")
 
-    if not region.rows:
+    if not len(region.b):
         x = box_lmo(direction, region.with_bounds(lb, ub))
         return MipResult(x, float(direction @ x), "optimal")
 

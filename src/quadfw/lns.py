@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fw import ActiveSet, RegionInfeasible, bpcg
-from .lmo import LinearRow, Region, mip_lmo, vertex_key
+from .lmo import Region, mip_lmo, vertex_key
 from .model import Problem, VarKind
 from .penalty import SmoothObjective
 
@@ -28,10 +28,9 @@ AGREEMENT_TOL = 1e-6
 class SubproblemBudget:
     node_cap: int = 200
     time_slice: float = 2.0
-    depth_cap: int = 1
 
     def __post_init__(self) -> None:
-        if self.node_cap <= 0 or self.time_slice <= 0 or self.depth_cap <= 0:
+        if self.node_cap <= 0 or self.time_slice <= 0:
             raise ValueError("budgets must be strictly positive")
 
 
@@ -107,7 +106,6 @@ def follow_the_gradient(
     region: Region,
     start_direction: np.ndarray,
     budget: int = 50,
-    lmo_time_budget: float = 1.0,
     deadline: float | None = None,
     submit=None,
     value_fn=None,
@@ -118,7 +116,7 @@ def follow_the_gradient(
     visited vertices are submitted and the best one by ``value_fn``
     (original objective) is returned.
     """
-    res = mip_lmo(start_direction, region, time_budget=lmo_time_budget, deadline=deadline)
+    res = mip_lmo(start_direction, region, deadline=deadline)
     if res.point is None or not res.trusted:
         return None
     visited = [res.point]
@@ -126,7 +124,7 @@ def follow_the_gradient(
     v = res.point
     for _ in range(budget):
         grad = objective.gradient(v)
-        res = mip_lmo(grad, region, time_budget=lmo_time_budget, deadline=deadline)
+        res = mip_lmo(grad, region, deadline=deadline)
         if res.point is None or not res.trusted:
             break
         key = vertex_key(res.point)
@@ -263,7 +261,6 @@ def _greedy_cover(graph: NonlinearityGraph) -> set[int]:
 
 def minimum_vertex_cover(
     graph: NonlinearityGraph,
-    time_budget: float = 1.0,
     deadline: float | None = None,
 ) -> set[int]:
     """Minimum vertex cover of the nonlinearity graph via the internal
@@ -277,35 +274,27 @@ def minimum_vertex_cover(
     ub = np.ones(m)
     for v in graph.forced:
         lb[pos[v]] = 1.0
-    rows = [
-        LinearRow(_cover_row(m, pos[i], pos[j]), -1.0)
-        for (i, j) in sorted(graph.edges)
-    ]
-    region = Region(lb, ub, rows, np.ones(m, dtype=bool))
-    res = mip_lmo(np.ones(m), region, time_budget=time_budget, deadline=deadline)
+    edges = sorted(graph.edges)
+    a = np.zeros((len(edges), m))
+    for r, (i, j) in enumerate(edges):
+        a[r, pos[i]] = a[r, pos[j]] = -1.0  # x_i + x_j >= 1
+    region = Region(lb, ub, a, -np.ones(len(edges)), np.ones(m, dtype=bool))
+    res = mip_lmo(np.ones(m), region, deadline=deadline)
     if res.status != "optimal" or res.point is None:
         return _greedy_cover(graph)
     return {variables[k] for k in range(m) if res.point[k] > 0.5} | set(graph.forced)
-
-
-def _cover_row(m: int, i: int, j: int) -> np.ndarray:
-    a = np.zeros(m)
-    a[i] = -1.0
-    a[j] = -1.0
-    return a
 
 
 def undercover(
     problem: Problem,
     reference: np.ndarray,
     budget: SubproblemBudget,
-    lmo_time_budget: float = 1.0,
     deadline: float | None = None,
 ) -> np.ndarray | None:
     """Fix a vertex cover of the nonlinearity graph to reference values so
     the remainder is a MILP, then solve it with the internal MIP."""
     graph = NonlinearityGraph.from_problem(problem)
-    cover = minimum_vertex_cover(graph, time_budget=lmo_time_budget, deadline=deadline)
+    cover = minimum_vertex_cover(graph, deadline=deadline)
 
     lb, ub = problem.lb.copy(), problem.ub.copy()
     fixed_vals: dict[int, float] = {}
@@ -332,13 +321,14 @@ def undercover(
     direction = linearize(problem.terms_obj, problem.d.astype(float))
     if direction is None:
         return None
-    rows = []
+    a = []
     for con in problem.constraints:
-        a = linearize(con.terms, con.b_dense(problem.n))
-        if a is None:
+        row = linearize(con.terms, con.b_dense(problem.n))
+        if row is None:
             return None
-        rows.append(LinearRow(a, -con.c))
-    region = Region(lb, ub, rows, problem.integer_mask())
+        a.append(row)
+    b = [-con.c for con in problem.constraints]
+    region = Region(lb, ub, a, b, problem.integer_mask())
     res = mip_lmo(direction, region, time_budget=budget.time_slice,
                   node_budget=budget.node_cap, deadline=deadline)
     if res.point is None or not res.trusted:

@@ -311,20 +311,24 @@ def normalize_constraint(
     """
     terms = merge_terms(terms)
     b = {k: v for k, v in b.items() if v != 0.0}
+    row = QuadConstraint(terms, b, c)
     if sense is Sense.LE:
-        return [QuadConstraint(terms, b, c)]
+        return [row]
     if sense is Sense.GE:
-        neg_terms = [(i, j, -q) for (i, j, q) in terms]
-        neg_b = {k: -v for k, v in b.items()}
-        return [QuadConstraint(neg_terms, neg_b, -c)]
+        return [_negated(row)]
     if is_complementarity_form(terms, b, c):
         return [QuadConstraint(terms, b, c, sense=Sense.EQ)]
-    neg_terms = [(i, j, -q) for (i, j, q) in terms]
-    neg_b = {k: -v for k, v in b.items()}
-    return [
-        QuadConstraint(terms, dict(b), c),
-        QuadConstraint(neg_terms, neg_b, -c),
-    ]
+    return [row, _negated(row)]
+
+
+def _negated(con: QuadConstraint) -> QuadConstraint:
+    """The LE row ``-g(x) <= 0`` of a stored row ``g(x)``."""
+    return QuadConstraint(
+        [(i, j, -q) for (i, j, q) in con.terms],
+        {k: -v for k, v in con.b.items()},
+        -con.c,
+        tag=con.tag,
+    )
 
 
 def split_equality(con: QuadConstraint) -> list[QuadConstraint]:
@@ -332,9 +336,5 @@ def split_equality(con: QuadConstraint) -> list[QuadConstraint]:
     cannot reformulate a complementarity)."""
     if con.sense is not Sense.EQ:
         return [con]
-    neg_terms = [(i, j, -q) for (i, j, q) in con.terms]
-    neg_b = {k: -v for k, v in con.b.items()}
-    return [
-        QuadConstraint(list(con.terms), dict(con.b), con.c, tag=con.tag),
-        QuadConstraint(neg_terms, neg_b, -con.c, tag=con.tag),
-    ]
+    row = QuadConstraint(list(con.terms), dict(con.b), con.c, tag=con.tag)
+    return [row, _negated(row)]

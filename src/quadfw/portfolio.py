@@ -30,7 +30,7 @@ class WorkerOutcome:
     error: BaseException | None = None
 
 
-def _worker_setups(base: Problem, config: Config) -> list[tuple[Config, Problem, float]]:
+def _worker_setups(base: Problem, config: Config) -> list[tuple[Config, Problem]]:
     """Resolve per-worker configs: p grid with quadratic constraints,
     ell grid for all-binary QPs, plain seed spread otherwise."""
     setups = []
@@ -39,13 +39,13 @@ def _worker_setups(base: Problem, config: Config) -> list[tuple[Config, Problem,
     for w in range(config.workers):
         if has_quad_cons:
             cfg = config.for_worker(w, p=config.p_grid[w % len(config.p_grid)])
-            setups.append((cfg, base, 0.0))
+            setups.append((cfg, base))
         elif binary_qp:
             cfg = config.for_worker(w, ell=config.ell_grid[w % len(config.ell_grid)])
-            prob, shift = convexify_binary(base, cfg.ell)
-            setups.append((cfg, prob, shift))
+            prob, _ = convexify_binary(base, cfg.ell)
+            setups.append((cfg, prob))
         else:
-            setups.append((config.for_worker(w), base, 0.0))
+            setups.append((config.for_worker(w), base))
     return setups
 
 
@@ -109,7 +109,7 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
             outcomes[index] = WorkerOutcome(bnb.SolveTrace(), cfg, error=exc)
 
     threads = []
-    for w, (cfg, prob, _) in enumerate(setups):
+    for w, (cfg, prob) in enumerate(setups):
         thread = threading.Thread(target=run_worker, args=(w, cfg, prob), daemon=True)
         threads.append(thread)
         thread.start()

@@ -23,6 +23,7 @@ from .model import (
     Sense,
     VarKind,
     assemble_symmetric,
+    is_complementarity_form,
     merge_terms,
     split_equality,
     terms_from_symmetric,
@@ -50,13 +51,10 @@ class PresolveResult:
     status: str  # "ok" | "infeasible"
     transforms: list[dict] = field(default_factory=list)
     artificial_bounds: bool = False
-    shift: float | None = None  # convexification shift, if applied
-    ell: float | None = None
     # original-space reconstruction data
     n_original: int = 0
     kept_original: list[int] = field(default_factory=list)  # reform idx -> original idx
     removed_epigraphs: list[tuple[int, int]] = field(default_factory=list)  # (w_orig, x_reform)
-    aux_count: int = 0  # trailing auxiliary binaries in reform space
 
     def uncrush(self, x: np.ndarray) -> np.ndarray:
         """Map a point of the reformulated space to the original space."""
@@ -159,13 +157,8 @@ def propagate_bounds(
 
 
 def _complementarity_candidates(problem: Problem) -> list[int]:
-    out = []
-    for idx, con in enumerate(problem.constraints):
-        if con.sense is Sense.EQ and len(con.terms) == 1 and not con.b and con.c == 0.0:
-            i, j, _ = con.terms[0]
-            if i != j:
-                out.append(idx)
-    return out
+    return [idx for idx, con in enumerate(problem.constraints)
+            if con.sense is Sense.EQ and is_complementarity_form(con.terms, con.b, con.c)]
 
 
 def reformulate_complementarity(problem: Problem) -> tuple[Problem, list[dict]]:
@@ -425,7 +418,6 @@ def run_presolve(problem: Problem, max_rounds: int = 10) -> PresolveResult:
 
     work, comp_records = reformulate_complementarity(work)
     transforms.extend(comp_records)
-    aux_count = len(comp_records)
 
     # leftover equalities (complementarities the transform skipped)
     new_cons: list[QuadConstraint] = []
@@ -455,5 +447,4 @@ def run_presolve(problem: Problem, max_rounds: int = 10) -> PresolveResult:
         n_original=n_original,
         kept_original=kept,
         removed_epigraphs=removed_epigraphs,
-        aux_count=aux_count,
     )

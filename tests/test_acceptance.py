@@ -10,7 +10,7 @@ import pytest
 from quadfw.bnb import solve
 from quadfw.config import Config
 from quadfw.fw import bpcg
-from quadfw.lmo import LinearRow, Region, mip_lmo
+from quadfw.lmo import Region, mip_lmo
 from quadfw.lns import NonlinearityGraph, SubproblemBudget, asens, minimum_vertex_cover, rins
 from quadfw.fw import ActiveSet
 from quadfw.metrics import IncumbentTrace, primal_gap, primal_integral, shifted_geomean
@@ -114,7 +114,7 @@ def test_criterion_3_bpcg_correctness():
             integrality=[VarKind.CONTINUOUS] * n,
         )
         obj = SmoothObjective(prob, p=1.5)
-        region = Region(np.zeros(n), np.ones(n), [], np.zeros(n, dtype=bool))
+        region = Region(np.zeros(n), np.ones(n), integer_mask=np.zeros(n, dtype=bool))
         res = bpcg(obj, region, max_iter=20000, eps=1e-6)
         worst_gap = max(worst_gap, res.dual_gap)
         diffs = np.diff(res.objective_trace)
@@ -145,17 +145,17 @@ def test_criterion_4_mip_lmo_oracle_equivalence():
         lb = rng.integers(-1, 1, size=n).astype(float)
         ub = lb + rng.integers(1, 3, size=n).astype(float)
         m = int(rng.integers(1, 6))
-        rows = [LinearRow(rng.normal(size=n), float(rng.normal() * 2 + 1))
-                for _ in range(m)]
-        region = Region(lb, ub, rows, np.ones(n, dtype=bool))
+        rows = [(rng.normal(size=n), float(rng.normal() * 2 + 1)) for _ in range(m)]
+        region = Region(lb, ub, [a for a, _ in rows], [rhs for _, rhs in rows],
+                        np.ones(n, dtype=bool))
         direction = rng.normal(size=n)
         res = mip_lmo(direction, region, time_budget=30.0)
         # independent enumeration oracle (shares nothing with the MIP path)
         ref_prob = Problem(
             n=n, terms_obj=[], d=direction, c0=0.0,
-            constraints=[QuadConstraint([], {k: float(r.a[k]) for k in range(n)
-                                             if r.a[k] != 0.0}, -r.rhs)
-                         for r in rows],
+            constraints=[QuadConstraint([], {k: float(a[k]) for k in range(n)
+                                             if a[k] != 0.0}, -rhs)
+                         for (a, rhs) in rows],
             lb=lb, ub=ub, integrality=[VarKind.INTEGER] * n,
         )
         oracle = brute_force(ref_prob, tol=1e-7)

@@ -5,6 +5,7 @@ import numpy as np
 from quadfw import bnb
 from quadfw.cli import main
 from quadfw.config import Config
+from quadfw.ingest import parse_canonical
 from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
 from quadfw.portfolio import merge_traces, run_portfolio
 
@@ -152,7 +153,14 @@ class TestPortfolio:
 
         pres = run_presolve(p)
         setups = _worker_setups(pres.problem, Config(workers=7, time_limit=1.0))
-        assert [cfg.p for (cfg, _, _) in setups] == [1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]
+        assert [cfg.p for (cfg, _) in setups] == [1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]
+
+    def test_no_variables_solves_to_constant(self):
+        # an empty region has a (0, 0) row block; it must not break the LMO
+        p = parse_canonical("NVARS 0\nOBJ CONST 3.5\n")
+        report = run_portfolio(p, Config(workers=1, time_limit=5.0))
+        assert report.status == "feasible"
+        assert report.best_objective == 3.5
 
     def test_merged_trace_strictly_improving_and_feasible(self):
         rng = np.random.default_rng(6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadfw.fw import ActiveSet, RegionInfeasible, bpcg, secant_step
-from quadfw.lmo import LinearRow, Region, VertexCache
+from quadfw.lmo import Region, VertexCache
 from quadfw.model import Problem, QuadConstraint, VarKind
 from quadfw.penalty import SmoothObjective
 
@@ -13,7 +13,7 @@ def box_region(lb, ub, integer=False):
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     mask = np.full(len(lb), integer)
-    return Region(lb, ub, [], mask)
+    return Region(lb, ub, integer_mask=mask)
 
 
 def quadratic_objective(q_diag, center, n):
@@ -145,16 +145,15 @@ class TestBpcg:
     def test_vertices_pass_region_membership(self):
         rng = np.random.default_rng(23)
         n = 4
-        rows = [LinearRow(rng.normal(size=n), 1.0)]
-        region = Region(np.zeros(n), np.ones(n), rows, np.ones(n, dtype=bool))
+        region = Region(np.zeros(n), np.ones(n), [rng.normal(size=n)], [1.0],
+                        np.ones(n, dtype=bool))
         obj = quadratic_objective(np.ones(n), 0.3 * np.ones(n), n)
         res = bpcg(obj, region, max_iter=20, eps=1e-8)
         for v in res.vertices:
             assert region.contains(v, tol=1e-7, int_tol=1e-6)
 
     def test_infeasible_region_propagates(self):
-        region = Region(np.zeros(1), np.ones(1),
-                        [LinearRow(np.array([1.0]), -1.0)], np.zeros(1, dtype=bool))
+        region = Region(np.zeros(1), np.ones(1), [[1.0]], [-1.0], np.zeros(1, dtype=bool))
         obj = quadratic_objective([1.0], [0.5], 1)
         with pytest.raises(RegionInfeasible):
             bpcg(obj, region, max_iter=5, eps=1e-6)

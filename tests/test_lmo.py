@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 from quadfw.bnb import SolutionPool, SolveTrace
 from quadfw.fw import ActiveSet
 from quadfw.lmo import (
-    LinearRow,
     Region,
     VertexCache,
     box_lmo,
@@ -15,13 +14,13 @@ from quadfw.lmo import (
     mip_lmo,
     solve_lp,
 )
-from quadfw.model import Problem, Sense, VarKind
+from quadfw.model import Problem, VarKind
 
 
-def box(lb, ub, integer=None, rows=()):
+def box(lb, ub, integer=None, a=None, b=None):
     lb = np.asarray(lb, dtype=float)
     mask = np.zeros(len(lb), dtype=bool) if integer is None else np.asarray(integer)
-    return Region(lb, np.asarray(ub, dtype=float), list(rows), mask)
+    return Region(lb, np.asarray(ub, dtype=float), a, b, mask)
 
 
 class TestBoxLmo:
@@ -40,18 +39,16 @@ class TestBoxLmo:
 
 class TestSolveLp:
     def test_simplex_face(self):
-        region = box([0, 0], [1, 1], rows=[LinearRow(np.array([1.0, 1.0]), 1.0)])
+        region = box([0, 0], [1, 1], a=[[1.0, 1.0]], b=[1.0])
         res = solve_lp(np.array([-1.0, -1.0]), region)
         assert res.status == "optimal"
         assert res.value == pytest.approx(-1.0, abs=1e-9)
         assert res.point[0] + res.point[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible_rows(self):
-        rows = [
-            LinearRow(np.array([-1.0]), -2.0),  # x >= 2
-            LinearRow(np.array([1.0]), 1.0),    # x <= 1
-        ]
-        res = solve_lp(np.array([1.0]), box([0], [5], rows=rows))
+        a = [[-1.0],  # x >= 2
+             [1.0]]   # x <= 1
+        res = solve_lp(np.array([1.0]), box([0], [5], a=a, b=[-2.0, 1.0]))
         assert res.status == "infeasible"
 
     def test_no_rows_matches_box_lmo(self):
@@ -64,21 +61,22 @@ class TestSolveLp:
             assert np.allclose(res.point, box_lmo(direction, region))
 
     def test_fixings(self):
-        region = box([0, 0], [2, 2], rows=[LinearRow(np.array([1.0, 1.0]), 3.0)])
-        res = solve_lp(np.array([-1.0, -1.0]), region, var_fixings={0: 0.5})
+        region = box([0, 0], [2, 2], a=[[1.0, 1.0]], b=[3.0])
+        region = region.with_bounds(np.array([0.5, 0.0]), np.array([0.5, 2.0]))
+        res = solve_lp(np.array([-1.0, -1.0]), region)
         assert res.point[0] == pytest.approx(0.5)
         assert res.point[1] == pytest.approx(2.0)
 
     def test_equality_row(self):
-        region = box([0, 0], [2, 2],
-                     rows=[LinearRow(np.array([1.0, 1.0]), 1.5, Sense.EQ)])
+        # x0 + x1 = 1.5 as an LE pair
+        region = box([0, 0], [2, 2], a=[[1.0, 1.0], [-1.0, -1.0]], b=[1.5, -1.5])
         res = solve_lp(np.array([1.0, 2.0]), region)
         assert res.status == "optimal"
         assert res.point @ np.ones(2) == pytest.approx(1.5, abs=1e-9)
         assert res.value == pytest.approx(1.5, abs=1e-9)  # all weight on x0
 
     def test_ge_row(self):
-        region = box([0], [5], rows=[LinearRow(np.array([1.0]), 2.0, Sense.GE)])
+        region = box([0], [5], a=[[-1.0]], b=[-2.0])  # x >= 2
         res = solve_lp(np.array([1.0]), region)
         assert res.point[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -92,7 +90,7 @@ class TestSolveLp:
             a_mat = rng.normal(size=(m, n))
             rhs = rng.normal(size=m) * 2
             direction = rng.normal(size=n)
-            region = box(lb, ub, rows=[LinearRow(a_mat[i], rhs[i]) for i in range(m)])
+            region = box(lb, ub, a=a_mat, b=rhs)
             res = solve_lp(direction, region)
             ref = linprog(direction, A_ub=a_mat, b_ub=rhs,
                           bounds=list(zip(lb, ub)), method="highs")
@@ -109,10 +107,8 @@ class TestSolveLp:
     def test_degenerate_lp_terminates(self):
         # many redundant rows through one vertex (classic cycling bait)
         n = 4
-        rows = [LinearRow(np.ones(n), 0.0)] + [
-            LinearRow(np.eye(n)[i], 0.0) for i in range(n)
-        ]
-        region = box(np.zeros(n), np.ones(n), rows=rows)
+        a = np.vstack([np.ones(n), np.eye(n)])
+        region = box(np.zeros(n), np.ones(n), a=a, b=np.zeros(n + 1))
         res = solve_lp(-np.ones(n), region)
         assert res.status == "optimal"
         assert res.value == pytest.approx(0.0, abs=1e-9)
@@ -126,20 +122,15 @@ def enumerate_mip(direction, region):
             for k in int_idx]
     best = np.inf
     for assignment in itertools.product(*axes):
-        fix = {int(k): float(v) for k, v in zip(int_idx, assignment)}
         if len(cont_idx) == 0:
             x = np.zeros(region.n)
-            for k, v in fix.items():
-                x[k] = v
-            ok = all(
-                (row.a @ x <= row.rhs + 1e-9) if row.sense is Sense.LE
-                else (abs(row.a @ x - row.rhs) <= 1e-9)
-                for row in region.rows
-            )
-            if ok:
+            x[int_idx] = assignment
+            if np.all(region.a @ x <= region.b + 1e-9):
                 best = min(best, float(direction @ x))
         else:
-            res = solve_lp(direction, region, var_fixings=fix)
+            lb, ub = region.lb.copy(), region.ub.copy()
+            lb[int_idx] = ub[int_idx] = assignment
+            res = solve_lp(direction, region.with_bounds(lb, ub))
             if res.status == "optimal":
                 best = min(best, res.value)
     return best
@@ -147,8 +138,7 @@ def enumerate_mip(direction, region):
 
 class TestMipLmo:
     def test_binary_knapsack_value(self):
-        region = box([0, 0], [1, 1], integer=[True, True],
-                     rows=[LinearRow(np.array([1.0, 1.0]), 1.0)])
+        region = box([0, 0], [1, 1], integer=[True, True], a=[[1.0, 1.0]], b=[1.0])
         res = mip_lmo(np.array([-1.0, -1.0]), region)
         assert res.status == "optimal"
         assert res.value == pytest.approx(-1.0, abs=1e-9)
@@ -164,16 +154,14 @@ class TestMipLmo:
         assert np.array_equal(res.point, box_lmo(direction, region))
 
     def test_zero_direction_returns_feasible_vertex(self):
-        region = box([0, 0], [2, 2], integer=[True, True],
-                     rows=[LinearRow(np.array([1.0, 1.0]), 3.0)])
+        region = box([0, 0], [2, 2], integer=[True, True], a=[[1.0, 1.0]], b=[3.0])
         res = mip_lmo(np.zeros(2), region)
         assert res.status == "optimal"
         assert res.value == 0.0
         assert region.contains(res.point, int_tol=1e-6)
 
     def test_infeasible_region(self):
-        region = box([0], [1], integer=[True],
-                     rows=[LinearRow(np.array([1.0]), -0.5)])
+        region = box([0], [1], integer=[True], a=[[1.0]], b=[-0.5])
         res = mip_lmo(np.array([1.0]), region)
         assert res.status == "infeasible"
         assert res.point is None
@@ -185,9 +173,9 @@ class TestMipLmo:
             lb = rng.integers(-2, 1, size=n).astype(float)
             ub = lb + rng.integers(1, 4, size=n).astype(float)
             m = int(rng.integers(1, 4))
-            rows = [LinearRow(rng.normal(size=n), float(rng.normal() * 2 + 1))
-                    for _ in range(m)]
-            region = box(lb, ub, integer=[True] * n, rows=rows)
+            rows = [(rng.normal(size=n), float(rng.normal() * 2 + 1)) for _ in range(m)]
+            region = box(lb, ub, integer=[True] * n,
+                         a=[r[0] for r in rows], b=[r[1] for r in rows])
             direction = rng.normal(size=n)
             res = mip_lmo(direction, region, time_budget=10.0)
             expected = enumerate_mip(direction, region)
@@ -204,8 +192,8 @@ class TestMipLmo:
             mask = [True, True, False, False]
             lb = rng.integers(-1, 1, size=n).astype(float)
             ub = lb + rng.integers(1, 3, size=n).astype(float)
-            rows = [LinearRow(rng.normal(size=n), float(rng.normal() + 1.5))]
-            region = box(lb, ub, integer=mask, rows=rows)
+            a = [rng.normal(size=n)]
+            region = box(lb, ub, integer=mask, a=a, b=[float(rng.normal() + 1.5)])
             direction = rng.normal(size=n)
             res = mip_lmo(direction, region, time_budget=10.0)
             expected = enumerate_mip(direction, region)
@@ -217,8 +205,8 @@ class TestMipLmo:
     def test_timeout_returns_untrusted_box_vertex(self):
         n = 14
         rng = np.random.default_rng(5)
-        rows = [LinearRow(rng.normal(size=n), 0.1) for _ in range(6)]
-        region = box(np.zeros(n), np.ones(n), integer=[True] * n, rows=rows)
+        a = [rng.normal(size=n) for _ in range(6)]
+        region = box(np.zeros(n), np.ones(n), integer=[True] * n, a=a, b=[0.1] * 6)
         res = mip_lmo(rng.normal(size=n), region, time_budget=0.0)
         assert res.status == "timeout"
         assert not res.trusted
@@ -230,8 +218,7 @@ class TestVertexCache:
         assert lazy_lookup(cache, np.array([1.0]), np.array([0.5]), 1.0) is None
 
     def test_returns_cached_minimizer(self):
-        region = box([0, 0], [1, 1], integer=[True, True],
-                     rows=[LinearRow(np.array([1.0, 1.0]), 1.0)])
+        region = box([0, 0], [1, 1], integer=[True, True], a=[[1.0, 1.0]], b=[1.0])
         direction = np.array([-1.0, -0.5])
         res = mip_lmo(direction, region)
         cache = VertexCache()
@@ -249,8 +236,7 @@ class TestVertexCache:
         assert lazy_lookup(cache, np.array([-1.0, 0.0]), np.zeros(2), phi=1e9) is None
 
     def test_insert_validates_region(self):
-        region = box([0], [1], integer=[True],
-                     rows=[LinearRow(np.array([1.0]), 0.5)])
+        region = box([0], [1], integer=[True], a=[[1.0]], b=[0.5])
         cache = VertexCache()
         assert not cache.insert(np.array([1.0]), region)  # violates the row
         assert not cache.insert(np.array([0.4]), region)  # fractional
@@ -279,7 +265,7 @@ class TestVertexCache:
             cache.insert(v, region)
             cache.insert(other, region)
             pool = SolutionPool(problem, problem, lambda x: x, lambda x: x,
-                                1e-6, 1e-6, clock=lambda: 0.0, trace=SolveTrace())
+                                clock=lambda: 0.0, trace=SolveTrace())
             pool.submit(v)
             pool.submit(other)
             return (active.find(other) is not None), len(cache), len(pool.entries)

@@ -79,7 +79,7 @@ class TestProbabilityRounding:
 
 class TestFollowTheGradient:
     def region(self):
-        return Region(np.zeros(2), np.ones(2), [], np.ones(2, dtype=bool))
+        return Region(np.zeros(2), np.ones(2), integer_mask=np.ones(2, dtype=bool))
 
     def distance_objective(self):
         # f = ||x - 0.5||^2 = x0^2 - x0 + x1^2 - x1 + 0.5
