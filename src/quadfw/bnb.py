@@ -88,7 +88,12 @@ class IncumbentStore:
 
 class SolutionPool:
     """All integer-feasible candidates seen by one worker, deduplicated,
-    with original-problem objective values and feasibility reports."""
+    with original-problem objective values and feasibility reports.
+
+    ``clock`` returns the seconds since the solve started; an incumbent
+    found after ``horizon`` on that clock is refused, so every trace event
+    lies inside the time limit.
+    """
 
     def __init__(
         self,
@@ -99,6 +104,7 @@ class SolutionPool:
         clock,
         trace: SolveTrace,
         store: IncumbentStore | None = None,
+        horizon: float = math.inf,
     ):
         self.problem = problem
         self.original = original
@@ -107,14 +113,16 @@ class SolutionPool:
         self.clock = clock
         self.trace = trace
         self.store = store
+        self.horizon = horizon
         self.entries: dict[bytes, PoolEntry] = {}
         self.incumbent_value = math.inf
         self.incumbent_point: np.ndarray | None = None  # reform space
+        self._integer_indices = np.array(problem.integer_indices(), dtype=int)
 
     def _snap(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=float).copy()
-        for k in self.problem.integer_indices():
-            out[k] = min(max(round(out[k]), self.problem.lb[k]), self.problem.ub[k])
+        # + 0.0 maps np.round's -0.0 to 0.0, so -0.3 and 0.2 give one vertex key
+        out[self._integer_indices] = np.round(out[self._integer_indices]) + 0.0
         return np.clip(out, self.problem.lb, self.problem.ub)
 
     def submit(self, x: np.ndarray) -> bool:
@@ -130,9 +138,12 @@ class SolutionPool:
         entry = PoolEntry(cand, x_orig, value, report.max_violation, report.feasible)
         self.entries[key] = entry
         if report.feasible and value < self.incumbent_value:
+            now = self.clock()
+            if now > self.horizon:
+                return False
             self.incumbent_value = value
             self.incumbent_point = cand
-            self.trace.events.append((self.clock(), value))
+            self.trace.events.append((now, value))
             self.trace.event_points.append(x_orig)
             self.trace.incumbent_value = value
             self.trace.incumbent_point = x_orig
@@ -267,6 +278,7 @@ def solve(
     pool = SolutionPool(
         problem, original, uncrush, repair,
         clock=lambda: time.monotonic() - t0, trace=trace, store=store,
+        horizon=deadline - t0,
     )
     region0 = region_from_problem(problem)
     cache = VertexCache()

@@ -69,15 +69,19 @@ class Region:
 
     def contains(self, x: np.ndarray, tol: float = ROW_FEASIBILITY_TOL,
                  int_tol: float | None = None) -> bool:
-        if np.any(x < self.lb - tol) or np.any(x > self.ub + tol):
-            return False
-        if np.any(self.a @ x > self.b + tol):
-            return False
-        if int_tol is not None:
-            frac = np.abs(x[self.integer_mask] - np.round(x[self.integer_mask]))
-            if frac.size and frac.max() > int_tol:
-                return False
-        return True
+        return bool(self.members(np.asarray(x)[np.newaxis], tol, int_tol)[0])
+
+    def members(self, points: np.ndarray, tol: float = ROW_FEASIBILITY_TOL,
+                int_tol: float | None = None) -> np.ndarray:
+        """Membership mask of the rows of ``points`` (shape ``(k, n)``):
+        bounds and rows within ``tol``, integrality within ``int_tol``
+        unless it is None."""
+        inside = ~np.any((points < self.lb - tol) | (points > self.ub + tol), axis=1)
+        inside &= ~np.any(points @ self.a.T > self.b + tol, axis=1)
+        if int_tol is not None and self.integer_mask.any():
+            x_int = points[:, self.integer_mask]
+            inside &= ~(np.abs(x_int - np.round(x_int)).max(axis=1) > int_tol)
+        return inside
 
 
 def region_from_problem(problem: Problem) -> Region:
@@ -429,16 +433,26 @@ def vertex_key(v: np.ndarray) -> bytes:
 class VertexCache:
     """Deduplicated store of previously returned vertices (per worker).
 
-    Vertices are hashed by coordinates rounded at 1e-9 and validated
-    against the inserting region; lookups scan most recent first.
+    Vertices are hashed by coordinates rounded at 1e-9, validated against
+    the inserting region and kept as the rows of one matrix, oldest first.
     """
 
     def __init__(self) -> None:
-        self._vertices: list[np.ndarray] = []
+        self._rows: np.ndarray | None = None  # capacity doubles when full
+        self._count = 0
         self._keys: set[bytes] = set()
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return self._count
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The cached vertices as rows, oldest first (a read-only view)."""
+        if self._rows is None:
+            return np.zeros((0, 0))
+        view = self._rows[: self._count]
+        view.flags.writeable = False
+        return view
 
     def insert(self, v: np.ndarray, region: Region) -> bool:
         """Insert a vertex after validating region membership; returns
@@ -449,11 +463,14 @@ class VertexCache:
         if key in self._keys:
             return False
         self._keys.add(key)
-        self._vertices.append(np.asarray(v, dtype=float).copy())
+        if self._rows is None or self._count == len(self._rows):
+            grown = np.empty((max(2 * self._count, 16), len(v)))
+            if self._rows is not None:
+                grown[: self._count] = self._rows
+            self._rows = grown
+        self._rows[self._count] = v
+        self._count += 1
         return True
-
-    def scan(self):
-        return reversed(self._vertices)
 
 
 def lazy_lookup(
@@ -465,16 +482,23 @@ def lazy_lookup(
 ) -> np.ndarray | None:
     """Return a cached vertex v with <gradient, x_t - v> >= phi/2, or None.
 
-    When ``region`` is given, only vertices valid for it are considered
-    (node bounds tighten as the tree descends, so cached vertices from
-    other nodes may no longer apply).
+    The most recently cached vertex that qualifies wins.  When ``region``
+    is given, only vertices valid for it are considered (node bounds
+    tighten as the tree descends, so cached vertices from other nodes may
+    no longer apply).
     """
     if phi < 0:
         phi = 0.0
     threshold = phi / 2.0
-    for v in cache.scan():
-        if region is not None and not region.contains(v, ROW_FEASIBILITY_TOL, INT_TOL):
-            continue
+    if not len(cache):
+        return None
+    vertices = cache.vertices
+    if region is None:
+        valid = np.arange(len(vertices))
+    else:
+        valid = np.flatnonzero(region.members(vertices, ROW_FEASIBILITY_TOL, INT_TOL))
+    for k in valid[::-1]:
+        v = vertices[k]
         if float(gradient @ (x_t - v)) >= threshold:
-            return v
+            return v.copy()
     return None

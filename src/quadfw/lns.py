@@ -263,26 +263,27 @@ def minimum_vertex_cover(
     graph: NonlinearityGraph,
     deadline: float | None = None,
 ) -> set[int]:
-    """Minimum vertex cover of the nonlinearity graph via the internal
-    MIP; falls back to a greedy max-degree cover on timeout."""
-    if not graph.nodes:
-        return set()
-    variables = sorted(graph.nodes)
+    """Minimum vertex cover of the nonlinearity graph.
+
+    Forced vertices are in every cover, so only the edges between two
+    unforced vertices go to the internal MIP; falls back to a greedy
+    max-degree cover on timeout.
+    """
+    forced = set(graph.forced)
+    edges = sorted((i, j) for (i, j) in graph.edges if i not in forced and j not in forced)
+    if not edges:
+        return forced
+    variables = sorted({v for edge in edges for v in edge})
     pos = {v: k for k, v in enumerate(variables)}
     m = len(variables)
-    lb = np.zeros(m)
-    ub = np.ones(m)
-    for v in graph.forced:
-        lb[pos[v]] = 1.0
-    edges = sorted(graph.edges)
     a = np.zeros((len(edges), m))
     for r, (i, j) in enumerate(edges):
         a[r, pos[i]] = a[r, pos[j]] = -1.0  # x_i + x_j >= 1
-    region = Region(lb, ub, a, -np.ones(len(edges)), np.ones(m, dtype=bool))
+    region = Region(np.zeros(m), np.ones(m), a, -np.ones(len(edges)), np.ones(m, dtype=bool))
     res = mip_lmo(np.ones(m), region, deadline=deadline)
     if res.status != "optimal" or res.point is None:
         return _greedy_cover(graph)
-    return {variables[k] for k in range(m) if res.point[k] > 0.5} | set(graph.forced)
+    return {variables[k] for k in range(m) if res.point[k] > 0.5} | forced
 
 
 def undercover(

@@ -23,8 +23,7 @@ original sense) and reported values are re-negated on output.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,6 +110,10 @@ class Problem:
     integrality: list[VarKind]
     sense_flag: str = "MIN"  # original sense, MIN or MAX
     name: str = ""
+    # built on first evaluation; replace() and copy() start without one
+    _compiled: "_CompiledTerms | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.d = np.asarray(self.d, dtype=float)
@@ -152,6 +155,14 @@ class Problem:
 
     def linear_constraint_indices(self) -> list[int]:
         return [i for i, con in enumerate(self.constraints) if con.is_linear()]
+
+    def compiled(self) -> "_CompiledTerms":
+        """Term arrays for exact evaluation.  Built once, so the term
+        lists, linear parts, constants and integrality must not change
+        afterwards."""
+        if self._compiled is None:
+            self._compiled = _CompiledTerms(self)
+        return self._compiled
 
     def bounds_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.lb)) and np.all(np.isfinite(self.ub)))
@@ -211,37 +222,88 @@ def merge_terms(terms: list[tuple[int, int, float]]) -> list[tuple[int, int, flo
 # -- evaluation ------------------------------------------------------------
 
 
-def eval_terms(terms: list[tuple[int, int, float]], x: np.ndarray) -> float:
-    return float(sum(q * x[i] * x[j] for (i, j, q) in terms))
+class _CompiledTerms:
+    """Index/coefficient arrays of a problem's terms, built once.
+
+    Every expression is a sequence of items ``q * xe[i] * xe[j]`` over the
+    point extended by one coordinate ``xe[n] = 1.0``: a quadratic term is
+    ``(i, j, q)``, a linear entry ``(k, n, v)`` and a constant ``(n, n, c)``
+    (multiplying by 1.0 is exact).  Each sequence starts with the item
+    ``(n, n, 0.0)`` and constraint rows are padded with it at the end.
+    Summing with ``np.cumsum`` adds the items one after the other, so the
+    values equal the per-term loops bit for bit: the leading ``0.0`` is the
+    loop's ``0`` start, which turns a ``-0.0`` first product into ``0.0``,
+    and a sum that starts at ``0.0`` is never ``-0.0``, so the padding
+    changes nothing.
+    """
+
+    def __init__(self, problem: "Problem") -> None:
+        n = problem.n
+        self.obj_i, self.obj_j, self.obj_q = self._stack(
+            [[(n, n, 0.0)] + list(problem.terms_obj)], n
+        )
+        rows = [
+            [(n, n, 0.0)] + list(con.terms) + [(n, n, con.c)]
+            + [(k, n, v) for k, v in con.b.items()]
+            for con in problem.constraints
+        ]
+        self.row_i, self.row_j, self.row_q = self._stack(rows, n)
+        self.eq_rows = np.array([con.sense is Sense.EQ for con in problem.constraints], dtype=bool)
+        self.integer_indices = np.array(problem.integer_indices(), dtype=int)
+
+    @staticmethod
+    def _stack(rows: list[list[tuple[int, int, float]]], n: int):
+        width = max((len(row) for row in rows), default=1)
+        idx_i = np.full((len(rows), width), n, dtype=int)
+        idx_j = np.full((len(rows), width), n, dtype=int)
+        coef = np.zeros((len(rows), width))
+        for r, row in enumerate(rows):
+            for c, (i, j, q) in enumerate(row):
+                idx_i[r, c], idx_j[r, c], coef[r, c] = i, j, q
+        return idx_i, idx_j, coef
+
+    @staticmethod
+    def _sums(idx_i: np.ndarray, idx_j: np.ndarray, coef: np.ndarray, xe: np.ndarray) -> np.ndarray:
+        return np.cumsum(coef * xe[idx_i] * xe[idx_j], axis=-1)[..., -1]
+
+    def terms_value(self, xe: np.ndarray) -> float:
+        return float(self._sums(self.obj_i, self.obj_j, self.obj_q, xe)[0])
+
+    def row_values(self, xe: np.ndarray) -> np.ndarray:
+        return self._sums(self.row_i, self.row_j, self.row_q, xe)
+
+
+def _extended_point(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a float vector, checked against ``problem.n``, and the same
+    point with the constant coordinate 1.0 appended."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.n,):
+        raise ModelError(f"point has dimension {x.shape}, expected ({problem.n},)")
+    return x, np.append(x, 1.0)
+
+
+def _largest_positive(values: np.ndarray) -> tuple[int | None, float]:
+    """First index of the largest positive entry and that entry, or
+    ``(None, 0.0)``; NaN entries are skipped."""
+    positive = np.flatnonzero(values > 0.0)
+    if not positive.size:
+        return None, 0.0
+    k = int(positive[np.argmax(values[positive])])
+    return k, float(values[k])
 
 
 def eval_objective(problem: Problem, x: np.ndarray) -> float:
     """Objective value (minimization form) exactly as stored."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise ModelError(f"point has dimension {x.shape}, expected ({problem.n},)")
-    return eval_terms(problem.terms_obj, x) + float(problem.d @ x) + problem.c0
+    x, xe = _extended_point(problem, x)
+    return problem.compiled().terms_value(xe) + float(problem.d @ x) + problem.c0
 
 
 def eval_constraint(problem: Problem, idx: int, x: np.ndarray) -> float:
     """LHS value g(x) of constraint ``idx``; an LE row is feasible iff <= 0."""
     if not (0 <= idx < len(problem.constraints)):
         raise ModelError(f"constraint index {idx} out of range")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise ModelError(f"point has dimension {x.shape}, expected ({problem.n},)")
-    con = problem.constraints[idx]
-    val = eval_terms(con.terms, x) + con.c
-    for k, v in con.b.items():
-        val += v * x[k]
-    return float(val)
-
-
-def constraint_violation(con: QuadConstraint, g: float) -> float:
-    """Violation of a normalized constraint given its LHS value."""
-    if con.sense is Sense.EQ:
-        return abs(g)
-    return max(g, 0.0)
+    _, xe = _extended_point(problem, x)
+    return float(problem.compiled().row_values(xe)[idx])
 
 
 def check_feasibility(
@@ -255,28 +317,21 @@ def check_feasibility(
     ``max_violation`` is the largest constraint violation or bound
     violation; ``feasible`` requires integrality within ``tol_int``,
     bounds within ``tol_cons`` and ``max_violation <= tol_cons``.
+    ``worst_constraint`` is the first row of largest positive violation.
     """
     if tol_cons <= 0 or tol_int <= 0:
         raise ModelError("tolerances must be positive")
-    x = np.asarray(x, dtype=float)
-    integral = True
-    for k in problem.integer_indices():
-        if abs(x[k] - round(x[k])) > tol_int:
-            integral = False
-            break
-    bound_viol = 0.0
-    for k in range(problem.n):
-        if math.isfinite(problem.lb[k]):
-            bound_viol = max(bound_viol, problem.lb[k] - x[k])
-        if math.isfinite(problem.ub[k]):
-            bound_viol = max(bound_viol, x[k] - problem.ub[k])
-    worst = None
-    worst_viol = 0.0
-    for idx, con in enumerate(problem.constraints):
-        viol = constraint_violation(con, eval_constraint(problem, idx, x))
-        if viol > worst_viol:
-            worst_viol = viol
-            worst = idx
+    x, xe = _extended_point(problem, x)
+    compiled = problem.compiled()
+    x_int = x[compiled.integer_indices]
+    integral = not np.any(np.abs(x_int - np.round(x_int)) > tol_int)
+    finite_lb = np.isfinite(problem.lb)
+    finite_ub = np.isfinite(problem.ub)
+    _, bound_viol = _largest_positive(np.concatenate([
+        (problem.lb - x)[finite_lb], (x - problem.ub)[finite_ub],
+    ]))
+    g = compiled.row_values(xe)
+    worst, worst_viol = _largest_positive(np.where(compiled.eq_rows, np.abs(g), g))
     max_violation = max(worst_viol, bound_viol)
     in_bounds = bound_viol <= tol_cons
     feasible = integral and in_bounds and max_violation <= tol_cons

@@ -5,6 +5,8 @@ from quadfw.bnb import (
     IncumbentStore,
     Node,
     RestartState,
+    SolutionPool,
+    SolveTrace,
     branch,
     restart_policy,
     solve,
@@ -238,3 +240,28 @@ class TestIncumbentStore:
         value, point = store.read()
         assert value == 4.0
         assert point[0] == 3.0
+
+
+class TestSolutionPool:
+    @staticmethod
+    def pool(readings, horizon):
+        p = binary_problem(2, [(0, 1, 1.0)], [-1.0, -2.0])
+        clock = iter(readings)
+        store = IncumbentStore()
+        pool = SolutionPool(p, p, lambda x: x, lambda x: x, clock=lambda: next(clock),
+                            trace=SolveTrace(), store=store, horizon=horizon)
+        return pool, store
+
+    def test_refuses_incumbent_after_horizon(self):
+        pool, store = self.pool([1.5], horizon=1.0)
+        assert not pool.submit(np.array([0.0, 1.0]))
+        assert pool.trace.events == []
+        assert pool.trace.status == "no_solution"
+        assert pool.incumbent_point is None
+        assert store.read() == (np.inf, None)
+
+    def test_event_stamped_with_the_checked_reading(self):
+        pool, store = self.pool([0.75, 5.0], horizon=1.0)
+        assert pool.submit(np.array([0.0, 1.0]))
+        assert pool.trace.events == [(0.75, -2.0)]
+        assert store.read()[0] == -2.0

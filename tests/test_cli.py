@@ -201,6 +201,31 @@ class TestPortfolio:
         assert report.primal_integral == 0.0
         assert report.events == []
 
+    def test_tight_time_limit_never_raises(self):
+        # incumbents of a node that overran the deadline used to be stamped
+        # after it, and the report rejected events outside [0, time_limit]
+        rng = np.random.default_rng(12)
+        p = random_binary_qp(rng, 120)
+        report = run_portfolio(p, Config(workers=2, time_limit=1.0, seed=0))
+        assert all(0.0 <= t <= 1.0 for t, _ in report.events)
+
+    def test_incumbents_of_an_overrunning_node_are_refused(self, monkeypatch):
+        # the root node outlives the time limit, so every candidate it
+        # produces arrives after the deadline
+        import time
+
+        search = bnb.bpcg
+
+        def overrunning(*args, **kwargs):
+            time.sleep(0.3)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(bnb, "bpcg", overrunning)
+        p = random_binary_qp(np.random.default_rng(13), 6)
+        report = run_portfolio(p, Config(workers=1, time_limit=0.2, seed=0))
+        assert report.events == []
+        assert report.status == "no_solution"
+
     def test_wall_clock_overrun_bounded(self):
         import time
 

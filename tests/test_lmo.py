@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from quadfw.bnb import SolutionPool, SolveTrace
 from quadfw.fw import ActiveSet
 from quadfw.lmo import (
+    INT_TOL,
+    ROW_FEASIBILITY_TOL,
     Region,
     VertexCache,
     box_lmo,
@@ -289,3 +293,73 @@ class TestVertexCache:
         cache.insert(np.array([3.0]), wide)
         narrow = wide.with_bounds(np.array([0.0]), np.array([1.0]))
         assert lazy_lookup(cache, np.array([-1.0]), np.zeros(1), 0.0, region=narrow) is None
+
+
+# -- lazy lookup against a scan over single vertices ------------------------
+
+
+def _scalar_contains(region, x, tol=ROW_FEASIBILITY_TOL, int_tol=INT_TOL):
+    if np.any(x < region.lb - tol) or np.any(x > region.ub + tol):
+        return False
+    if np.any(region.a @ x > region.b + tol):
+        return False
+    frac = np.abs(x[region.integer_mask] - np.round(x[region.integer_mask]))
+    return not (frac.size and frac.max() > int_tol)
+
+
+def _scalar_lookup(vertices, gradient, x_t, phi, region=None):
+    """The lookup as one membership test and one inner product per cached
+    vertex, most recent first."""
+    if phi < 0:
+        phi = 0.0
+    for v in reversed(vertices):
+        if region is not None and not _scalar_contains(region, v):
+            continue
+        if float(gradient @ (x_t - v)) >= phi / 2.0:
+            return v
+    return None
+
+
+# Dyadic coordinates and integer row coefficients keep every row sum exact,
+# so membership does not depend on the order in which a product is summed.
+# The offsets straddle INT_TOL (1e-6) and ROW_FEASIBILITY_TOL (1e-7).
+_OFFSETS = [0.0, 0.5, 2.0**-21, -(2.0**-21), 2.0**-19, 2.0**-24, -(2.0**-22)]
+
+
+@st.composite
+def _lookup_case(draw):
+    n = draw(st.integers(1, 5))
+    coord = st.builds(lambda k, o: k + o, st.integers(-2, 2), st.sampled_from(_OFFSETS))
+    vertices = draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=12))
+    m = draw(st.integers(0, 3))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(coord, min_size=m, max_size=m))
+    lb = draw(st.lists(coord, min_size=n, max_size=n))
+    widths = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    real = st.floats(-10.0, 10.0, allow_nan=False)
+    gradient = draw(st.lists(real, min_size=n, max_size=n))
+    x_t = draw(st.lists(real, min_size=n, max_size=n))
+    phi = draw(st.floats(-5.0, 50.0, allow_nan=False))
+    region = Region(np.array(lb), np.array(lb) + np.array(widths, dtype=float),
+                    np.array(a, dtype=float), np.array(b), np.array(mask))
+    return ([np.array(v) for v in vertices], np.array(gradient), np.array(x_t), phi, region)
+
+
+class TestLazyLookupMatchesScalarScan:
+    @settings(deadline=None, max_examples=300)
+    @given(_lookup_case())
+    def test_same_vertex(self, case):
+        vertices, gradient, x_t, phi, region = case
+        n = len(gradient)
+        wide = box(-10 * np.ones(n), 10 * np.ones(n))
+        cache = VertexCache()
+        inserted = [v for v in vertices if cache.insert(v, wide)]
+        for reg in (region, None):
+            got = lazy_lookup(cache, gradient, x_t, phi, region=reg)
+            want = _scalar_lookup(inserted, gradient, x_t, phi, region=reg)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.tobytes() == want.tobytes()

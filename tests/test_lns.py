@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quadfw import lns
 from quadfw.fw import ActiveSet
 from quadfw.lmo import Region
 from quadfw.lns import (
@@ -242,6 +243,30 @@ class TestUndercover:
         else:
             assert out[1] == 0.0
             assert eval_objective(p, out) == pytest.approx(-6.0)  # x0 = 3
+
+
+class TestUndercoverForcedVertices:
+    def test_all_forced_needs_no_mip(self, monkeypatch):
+        # every variable has a square term, so the cover is all of them
+        rng = np.random.default_rng(3)
+        n = 8
+        terms = [(i, j, float(rng.uniform(0.5, 1.5))) for i in range(n) for j in range(i, n)]
+        graph = NonlinearityGraph.from_problem(make_problem(n, [VarKind.BINARY] * n, terms=terms))
+
+        def no_mip(*args, **kwargs):
+            raise AssertionError("cover MIP solved although every vertex is forced")
+
+        monkeypatch.setattr(lns, "mip_lmo", no_mip)
+        assert minimum_vertex_cover(graph) == set(range(n))
+
+    def test_forced_vertex_plus_uncovered_edges(self):
+        # x0 is forced; the edges 0-1 and 0-3 are covered by it, the path
+        # 1-2-3 is not, and its minimum cover is {2}
+        terms = [(0, 0, 1.0), (0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+        graph = NonlinearityGraph.from_problem(make_problem(4, [VarKind.INTEGER] * 4, terms=terms))
+        cover = minimum_vertex_cover(graph)
+        assert cover == {0, 2}
+        assert graph.leaves_linear(cover)
 
 
 class TestBipartiteQubo:

@@ -1,3 +1,7 @@
+import math
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from quadfw.model import (
     terms_from_symmetric,
 )
 
-from conftest import dense_terms
+from conftest import dense_terms, sparse_quad_constraint
 
 
 def one_var(terms, d=0.0, c0=0.0, kind=VarKind.CONTINUOUS, lb=-10.0, ub=10.0, cons=()):
@@ -127,6 +131,136 @@ class TestCheckFeasibility:
             large = check_feasibility(p, x, tol_cons=1e-3, tol_int=1e-3)
             if small.feasible:
                 assert large.feasible
+
+
+# Per-term loop evaluation as it stood before the array evaluator; the
+# reference that the array version must match bit for bit.
+
+
+def _loop_terms(terms, x):
+    return float(sum(q * x[i] * x[j] for (i, j, q) in terms))
+
+
+def _loop_objective(problem, x):
+    return _loop_terms(problem.terms_obj, x) + float(problem.d @ x) + problem.c0
+
+
+def _loop_constraint(problem, idx, x):
+    con = problem.constraints[idx]
+    val = _loop_terms(con.terms, x) + con.c
+    for k, v in con.b.items():
+        val += v * x[k]
+    return float(val)
+
+
+def _loop_feasibility(problem, x, tol_cons=1e-6, tol_int=1e-6):
+    integral = True
+    for k in problem.integer_indices():
+        if abs(x[k] - round(x[k])) > tol_int:
+            integral = False
+            break
+    bound_viol = 0.0
+    for k in range(problem.n):
+        if math.isfinite(problem.lb[k]):
+            bound_viol = max(bound_viol, problem.lb[k] - x[k])
+        if math.isfinite(problem.ub[k]):
+            bound_viol = max(bound_viol, x[k] - problem.ub[k])
+    worst, worst_viol = None, 0.0
+    for idx, con in enumerate(problem.constraints):
+        g = _loop_constraint(problem, idx, x)
+        viol = abs(g) if con.sense is Sense.EQ else max(g, 0.0)
+        if viol > worst_viol:
+            worst_viol, worst = viol, idx
+    max_violation = max(worst_viol, bound_viol)
+    in_bounds = bound_viol <= tol_cons
+    return (max_violation, worst, integral, in_bounds,
+            integral and in_bounds and max_violation <= tol_cons)
+
+
+def _bits(value):
+    return struct.pack("<d", float(value))
+
+
+def _random_problem(rng, n):
+    """Mixed kinds, some infinite bounds, LE rows (some without terms or
+    linear part, some dense) and EQ complementarity rows."""
+    kinds = [VarKind.INTEGER if rng.random() < 0.5 else VarKind.CONTINUOUS for _ in range(n)]
+    lb = np.where(rng.random(n) < 0.2, -np.inf, rng.integers(-3, 1, size=n).astype(float))
+    ub = np.where(rng.random(n) < 0.2, np.inf, rng.integers(1, 4, size=n).astype(float))
+    cons = []
+    if n:
+        cons = [sparse_quad_constraint(rng, n) for _ in range(int(rng.integers(0, 3)))]
+        cons.append(QuadConstraint(dense_terms(rng, n), {}, float(rng.normal())))
+        cons.append(QuadConstraint([], {k: float(rng.normal()) for k in range(n)}, -0.0))
+        cons.append(QuadConstraint([], {}, float(rng.normal())))
+    if n >= 2:
+        i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
+        cons.append(QuadConstraint([(i, j, 1.0)], {}, 0.0, sense=Sense.EQ))
+    terms = dense_terms(rng, n) if rng.random() < 0.8 else []
+    return Problem(
+        n=n, terms_obj=terms, d=rng.normal(size=n), c0=float(rng.normal()),
+        constraints=cons, lb=lb, ub=ub, integrality=kinds,
+    )
+
+
+class TestEvaluationBitExact:
+    """The array evaluator equals the per-term loops byte for byte."""
+
+    @staticmethod
+    def _points(rng, n):
+        for t in range(25):
+            x = rng.uniform(-4.0, 4.0, size=n)
+            if t % 3:
+                x = np.round(x)  # integral points, where -0.0 products arise
+            if t % 2:
+                x[rng.random(n) < 0.3] = -0.0
+            x[rng.random(n) < 0.1] = 0.0
+            yield x
+
+    def _assert_same(self, p, x):
+        assert _bits(eval_objective(p, x)) == _bits(_loop_objective(p, x))
+        for idx in range(len(p.constraints)):
+            assert _bits(eval_constraint(p, idx, x)) == _bits(_loop_constraint(p, idx, x))
+        report = check_feasibility(p, x)
+        max_violation, worst, integral, in_bounds, feasible = _loop_feasibility(p, x)
+        assert _bits(report.max_violation) == _bits(max_violation)
+        assert report.worst_constraint == worst
+        assert (report.integral, report.in_bounds, report.feasible) == (
+            integral, in_bounds, feasible)
+
+    def test_random_problems_and_points(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            p = _random_problem(rng, int(rng.integers(0, 9)))
+            for x in self._points(rng, p.n):
+                self._assert_same(p, x)
+
+    def test_negative_zero_products(self):
+        # the loop's int 0 start turns a -0.0 first product into 0.0
+        con = QuadConstraint([(0, 1, 2.0)], {0: -1.0}, -0.0)
+        p = Problem(
+            n=2, terms_obj=[(0, 0, -1.0)], d=np.array([0.0, 0.0]), c0=-0.0,
+            constraints=[con], lb=-np.ones(2), ub=np.ones(2),
+            integrality=[VarKind.CONTINUOUS] * 2,
+        )
+        for x in (np.array([-0.0, 1.0]), np.array([0.0, -0.0]), np.array([-0.0, -0.0])):
+            self._assert_same(p, x)
+        assert _bits(eval_constraint(p, 0, np.array([-0.0, 1.0]))) == _bits(0.0)
+
+    def test_empty_problem(self):
+        p = Problem(n=0, terms_obj=[], d=np.zeros(0), c0=3.5, constraints=[],
+                    lb=np.zeros(0), ub=np.zeros(0), integrality=[])
+        self._assert_same(p, np.zeros(0))
+        assert eval_objective(p, np.zeros(0)) == 3.5
+
+    def test_copy_and_replace_recompile(self):
+        rng = np.random.default_rng(5)
+        p = _random_problem(rng, 4)
+        x = rng.normal(size=4)
+        eval_objective(p, x)  # builds the arrays of p
+        q = replace(p, terms_obj=[(0, 0, 1.0)])
+        assert eval_objective(q, x) == _loop_objective(q, x)
+        assert eval_objective(p.copy(), x) == _loop_objective(p, x)
 
 
 class TestNormalization:
