@@ -229,48 +229,54 @@ class _CompiledTerms:
     point extended by one coordinate ``xe[n] = 1.0``: a quadratic term is
     ``(i, j, q)``, a linear entry ``(k, n, v)`` and a constant ``(n, n, c)``
     (multiplying by 1.0 is exact).  Each sequence starts with the item
-    ``(n, n, 0.0)`` and constraint rows are padded with it at the end.
-    Summing with ``np.cumsum`` adds the items one after the other, so the
-    values equal the per-term loops bit for bit: the leading ``0.0`` is the
-    loop's ``0`` start, which turns a ``-0.0`` first product into ``0.0``,
-    and a sum that starts at ``0.0`` is never ``-0.0``, so the padding
-    changes nothing.
+    ``(n, n, 0.0)``.  Summing with ``np.cumsum`` adds the items one after
+    the other, so the values equal the per-term loops bit for bit: the
+    leading ``0.0`` is the loop's ``0`` start, which turns a ``-0.0`` first
+    product into ``0.0``.
+
+    The constraint rows lie one after the other in one set of arrays, row
+    ``r`` at items ``starts[r]:starts[r + 1]``: memory grows with the
+    number of items, not with the number of rows times the longest row.
     """
 
     def __init__(self, problem: "Problem") -> None:
         n = problem.n
-        self.obj_i, self.obj_j, self.obj_q = self._stack(
-            [[(n, n, 0.0)] + list(problem.terms_obj)], n
-        )
+        self.obj = self._arrays([(n, n, 0.0)] + list(problem.terms_obj))
         rows = [
             [(n, n, 0.0)] + list(con.terms) + [(n, n, con.c)]
             + [(k, n, v) for k, v in con.b.items()]
             for con in problem.constraints
         ]
-        self.row_i, self.row_j, self.row_q = self._stack(rows, n)
+        self.starts = np.cumsum([0] + [len(row) for row in rows]).tolist()
+        self.rows = self._arrays([item for row in rows for item in row])
         self.eq_rows = np.array([con.sense is Sense.EQ for con in problem.constraints], dtype=bool)
         self.integer_indices = np.array(problem.integer_indices(), dtype=int)
 
     @staticmethod
-    def _stack(rows: list[list[tuple[int, int, float]]], n: int):
-        width = max((len(row) for row in rows), default=1)
-        idx_i = np.full((len(rows), width), n, dtype=int)
-        idx_j = np.full((len(rows), width), n, dtype=int)
-        coef = np.zeros((len(rows), width))
-        for r, row in enumerate(rows):
-            for c, (i, j, q) in enumerate(row):
-                idx_i[r, c], idx_j[r, c], coef[r, c] = i, j, q
+    def _arrays(items: list[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        idx_i = np.array([i for (i, _, _) in items], dtype=int)
+        idx_j = np.array([j for (_, j, _) in items], dtype=int)
+        coef = np.array([q for (_, _, q) in items], dtype=float)
         return idx_i, idx_j, coef
 
     @staticmethod
-    def _sums(idx_i: np.ndarray, idx_j: np.ndarray, coef: np.ndarray, xe: np.ndarray) -> np.ndarray:
-        return np.cumsum(coef * xe[idx_i] * xe[idx_j], axis=-1)[..., -1]
+    def _products(arrays, xe: np.ndarray) -> np.ndarray:
+        idx_i, idx_j, coef = arrays
+        return coef * xe[idx_i] * xe[idx_j]
 
     def terms_value(self, xe: np.ndarray) -> float:
-        return float(self._sums(self.obj_i, self.obj_j, self.obj_q, xe)[0])
+        return float(np.cumsum(self._products(self.obj, xe))[-1])
+
+    def row_value(self, r: int, xe: np.ndarray) -> float:
+        items = slice(self.starts[r], self.starts[r + 1])
+        return float(np.cumsum(self._products([a[items] for a in self.rows], xe))[-1])
 
     def row_values(self, xe: np.ndarray) -> np.ndarray:
-        return self._sums(self.row_i, self.row_j, self.row_q, xe)
+        products = self._products(self.rows, xe)
+        return np.array(
+            [np.cumsum(products[s:e])[-1] for s, e in zip(self.starts[:-1], self.starts[1:])],
+            dtype=float,
+        )
 
 
 def _extended_point(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +309,7 @@ def eval_constraint(problem: Problem, idx: int, x: np.ndarray) -> float:
     if not (0 <= idx < len(problem.constraints)):
         raise ModelError(f"constraint index {idx} out of range")
     _, xe = _extended_point(problem, x)
-    return float(problem.compiled().row_values(xe)[idx])
+    return problem.compiled().row_value(idx, xe)
 
 
 def check_feasibility(
@@ -324,11 +330,11 @@ def check_feasibility(
     x, xe = _extended_point(problem, x)
     compiled = problem.compiled()
     x_int = x[compiled.integer_indices]
-    integral = not np.any(np.abs(x_int - np.round(x_int)) > tol_int)
+    integral = bool(np.all(np.abs(x_int - np.round(x_int)) <= tol_int))
     finite_lb = np.isfinite(problem.lb)
     finite_ub = np.isfinite(problem.ub)
     _, bound_viol = _largest_positive(np.concatenate([
-        (problem.lb - x)[finite_lb], (x - problem.ub)[finite_ub],
+        problem.lb[finite_lb] - x[finite_lb], x[finite_ub] - problem.ub[finite_ub],
     ]))
     g = compiled.row_values(xe)
     worst, worst_viol = _largest_positive(np.where(compiled.eq_rows, np.abs(g), g))

@@ -115,6 +115,15 @@ class TestCheckFeasibility:
         with pytest.raises(ModelError):
             check_feasibility(p, np.array([0.0]), tol_cons=0.0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_integer_coordinate_not_integral(self):
+        # an integer variable with infinite bounds that only the objective uses
+        p = one_var([(0, 0, 1.0)], kind=VarKind.INTEGER, lb=-np.inf, ub=np.inf)
+        for value in (np.nan, np.inf, -np.inf):
+            report = check_feasibility(p, np.array([value]))
+            assert not report.integral
+            assert not report.feasible
+
     def test_monotone_in_tolerances(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -261,6 +270,28 @@ class TestEvaluationBitExact:
         q = replace(p, terms_obj=[(0, 0, 1.0)])
         assert eval_objective(q, x) == _loop_objective(q, x)
         assert eval_objective(p.copy(), x) == _loop_objective(p, x)
+
+
+class TestCompiledSize:
+    def test_items_proportional_to_terms(self):
+        # one dense quadratic row and many short linear rows: the compiled
+        # arrays hold the problem's items, not rows x longest row
+        n, short_rows = 120, 400
+        long_row = QuadConstraint(
+            [(i, j, 1.0) for i in range(n) for j in range(i, n)], {}, -1.0)
+        short = [QuadConstraint([], {k % n: 1.0}, -1.0) for k in range(short_rows)]
+        p = Problem(
+            n=n, terms_obj=[(0, 0, 1.0)], d=np.zeros(n), c0=0.0,
+            constraints=[long_row] + short, lb=np.zeros(n), ub=np.ones(n),
+            integrality=[VarKind.CONTINUOUS] * n,
+        )
+        items = sum(len(con.terms) + len(con.b) + 2 for con in p.constraints)
+        compiled = p.compiled()
+        assert all(a.size == items for a in compiled.rows)
+        x = np.full(n, 0.5)
+        assert eval_constraint(p, 0, x) == _loop_constraint(p, 0, x)
+        assert eval_constraint(p, short_rows, x) == _loop_constraint(p, short_rows, x)
+        assert check_feasibility(p, x).worst_constraint == 0
 
 
 class TestNormalization:
