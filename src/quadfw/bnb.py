@@ -90,7 +90,7 @@ class SolutionPool:
     """All integer-feasible candidates seen by one worker, deduplicated,
     with original-problem objective values and feasibility reports.
 
-    ``clock`` returns the seconds since the solve started; an incumbent
+    ``clock`` returns the seconds since the run started; an incumbent
     found after ``horizon`` on that clock is refused, so every trace event
     lies inside the time limit.
     """
@@ -252,7 +252,7 @@ def solve(
     uncrush=None,
     repair=None,
     store: IncumbentStore | None = None,
-    deadline: float | None = None,
+    t0: float | None = None,
     depth: int = 0,
 ) -> SolveTrace:
     """Explore the penalty-relaxed problem depth-first and collect
@@ -260,8 +260,11 @@ def solve(
 
     ``problem`` must be presolved (finite bounds); ``original`` is the
     problem candidates are checked against (defaults to ``problem``).
-    Never prunes on objective bounds; stops on the time limit, the node
-    limit, or an exhausted stack.
+    ``t0`` is the ``time.monotonic()`` reading the run started at (the
+    solve's own entry when omitted): event times are measured from it and
+    the search stops at ``t0 + config.time_limit``.  Never prunes on
+    objective bounds; stops on the time limit, the node limit, or an
+    exhausted stack.
     """
     if not problem.bounds_finite():
         raise ValueError("solve requires finite bounds; run presolve first")
@@ -271,14 +274,14 @@ def solve(
     if objective is None:
         objective = SmoothObjective(problem, config.p)
 
-    t0 = time.monotonic()
-    if deadline is None:
-        deadline = t0 + config.time_limit
+    if t0 is None:
+        t0 = time.monotonic()
+    deadline = t0 + config.time_limit
     trace = SolveTrace()
     pool = SolutionPool(
         problem, original, uncrush, repair,
         clock=lambda: time.monotonic() - t0, trace=trace, store=store,
-        horizon=deadline - t0,
+        horizon=config.time_limit,
     )
     region0 = region_from_problem(problem)
     cache = VertexCache()
@@ -286,7 +289,6 @@ def solve(
     state = RestartState()
 
     run_lns = config.enable_lns and depth == 0
-    budget = lns.SubproblemBudget()
     last_asens = -_LNS_COOLDOWN
     last_rins = -_LNS_COOLDOWN
     undercover_done = False
@@ -300,12 +302,13 @@ def solve(
         and original.n == problem.n
     )
 
-    def subsolve(sub_problem: Problem, sub_budget: lns.SubproblemBudget):
+    def subsolve(sub_problem: Problem):
+        start = time.monotonic()
         sub_config = replace(
             config,
             enable_lns=False,
-            node_limit=sub_budget.node_cap,
-            time_limit=sub_budget.time_slice,
+            node_limit=lns.SUBPROBLEM_NODE_CAP,
+            time_limit=min(lns.SUBPROBLEM_TIME_SLICE, deadline - start),
         )
         sub_trace = solve(
             sub_problem,
@@ -315,7 +318,7 @@ def solve(
             uncrush=uncrush,
             repair=repair,
             store=None,
-            deadline=min(deadline, time.monotonic() + sub_budget.time_slice),
+            t0=start,
             depth=depth + 1,
         )
         return sub_trace.incumbent_reform
@@ -389,7 +392,7 @@ def solve(
                 and len(result.active_set) >= 2
                 and state.node_count - last_asens >= _LNS_COOLDOWN
             ):
-                cand = lns.asens(result.active_set, problem, budget, subsolve)
+                cand = lns.asens(result.active_set, problem, subsolve)
                 if cand is not None:
                     last_asens = state.node_count
                     pool.submit(cand)
@@ -399,7 +402,7 @@ def solve(
                 and pool.incumbent_point is not None
                 and state.node_count - last_rins >= _LNS_COOLDOWN
             ):
-                cand = lns.rins(pool.incumbent_point, x_relax, problem, budget, subsolve)
+                cand = lns.rins(pool.incumbent_point, x_relax, problem, subsolve)
                 if cand is not None:
                     last_rins = state.node_count
                     pool.submit(cand)
@@ -407,7 +410,7 @@ def solve(
                 reference = pool.best_reference()
                 if reference is not None:
                     undercover_done = True
-                    cand = lns.undercover(problem, reference, budget, deadline=deadline)
+                    cand = lns.undercover(problem, reference, deadline=deadline)
                     if cand is not None:
                         pool.submit(cand)
             if pure_qubo and pool.incumbent_point is not None:
@@ -445,6 +448,4 @@ def solve(
             stack = [make_root("warm" if action == "restart_warm" else "random")]
 
     trace.termination = termination
-    if trace.incumbent_value is None and termination == "root_infeasible":
-        trace.status = "no_solution"
     return trace

@@ -1,6 +1,7 @@
 """Solver configuration (shared by the CLI, the portfolio and the tree
-search).  A portfolio resolves the per-worker fields ``p``/``ell``/
-``seed`` from the grids; a direct solve uses them as given."""
+search).  A portfolio resolves the per-worker fields ``p`` and ``seed``
+(and the convexification proportion of an all-binary QP) from the grids;
+a direct solve uses them as given."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ class Config:
     p_grid: tuple[float, ...] = DEFAULT_P_GRID
     ell_grid: tuple[float, ...] = DEFAULT_ELL_GRID
     p: float = 1.5
-    ell: float = 0.8  # best-performing convexification proportion
     fw_iter: int = 10
     restart_interval: int = 100
     seed: int = 0
@@ -35,19 +35,13 @@ class Config:
             raise ValueError("worker count must be at least 1")
         if self.p <= 1.0 or any(p <= 1.0 for p in self.p_grid):
             raise ValueError("penalty exponents must exceed 1")
-        if not (0.0 <= self.ell <= 1.0) or any(not 0.0 <= e <= 1.0 for e in self.ell_grid):
+        if any(not 0.0 <= e <= 1.0 for e in self.ell_grid):
             raise ValueError("convexification proportions must lie in [0, 1]")
         if not (10 <= self.restart_interval <= 1000):
             raise ValueError("restart interval must lie in [10, 1000]")
 
-    def for_worker(self, index: int, p: float | None = None,
-                   ell: float | None = None) -> "Config":
-        return replace(
-            self,
-            seed=self.seed + index,
-            p=p if p is not None else self.p,
-            ell=ell if ell is not None else self.ell,
-        )
+    def for_worker(self, index: int, p: float | None = None) -> "Config":
+        return replace(self, seed=self.seed + index, p=p if p is not None else self.p)
 
     def echo(self) -> dict:
         return {

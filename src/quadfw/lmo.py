@@ -8,7 +8,8 @@ Three layers:
 
 * ``box_lmo`` -- closed-form minimizer over a box (no rows),
 * ``solve_lp`` -- dense two-phase simplex with bounded variables and
-  Bland's rule as anti-cycling fallback,
+  Bland's rule as anti-cycling fallback, stopped at a pivot once its
+  stop time has passed,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
   pruning on the LP bound).
@@ -123,13 +124,14 @@ class _BoundedSimplex:
     Nonbasic variables sit at a bound; the ratio test covers leaving
     variables hitting either bound and entering-variable bound flips.
     Dantzig pricing switches to Bland's rule after ``2 * n_total``
-    consecutive degenerate pivots.
+    consecutive degenerate pivots.  A pivot starting after ``stop_at``
+    (a ``time.monotonic()`` reading) ends the run.
     """
 
     MAX_ITER = 20000
 
     def __init__(self, a_rows: np.ndarray, rhs: np.ndarray,
-                 cost: np.ndarray, lb: np.ndarray, ub: np.ndarray):
+                 cost: np.ndarray, lb: np.ndarray, ub: np.ndarray, stop_at: float):
         m, n = a_rows.shape
         self.m, self.n_struct = m, n
         n_total = n + m  # structural + one slack per row
@@ -143,6 +145,7 @@ class _BoundedSimplex:
         self.at_upper = np.zeros(n_total, dtype=bool)
         self.basis: list[int] = []
         self.n_art = 0
+        self.stop_at = stop_at
 
     # -- setup ---------------------------------------------------------------
 
@@ -184,6 +187,8 @@ class _BoundedSimplex:
         bland_after = 2 * n_total
         degenerate = 0
         for _ in range(self.MAX_ITER):
+            if time.monotonic() > self.stop_at:
+                return "time_limit"
             try:
                 B = self.A[:, self.basis]
                 x_b = self._basic_values()
@@ -280,10 +285,12 @@ class _BoundedSimplex:
         return "optimal", x[: self.n_struct], ""
 
 
-def solve_lp(direction: np.ndarray, region: Region) -> LpResult:
+def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -> LpResult:
     """Minimize direction'x over the region's rows and bounds.
 
-    Falls back to the coordinatewise box rule when there are no rows.
+    Falls back to the coordinatewise box rule when there are no rows.  A
+    simplex still running at ``stop_at`` (a ``time.monotonic()`` reading)
+    returns status ``error``.
     """
     direction = np.asarray(direction, dtype=float)
     lb, ub = region.lb, region.ub
@@ -293,7 +300,7 @@ def solve_lp(direction: np.ndarray, region: Region) -> LpResult:
         x = box_lmo(direction, region)
         return LpResult(x, float(direction @ x), "optimal")
 
-    simplex = _BoundedSimplex(region.a, region.b, direction, lb, ub)
+    simplex = _BoundedSimplex(region.a, region.b, direction, lb, ub, stop_at)
     status, x, detail = simplex.solve()
     if status == "optimal":
         x = np.clip(x, lb, ub)
@@ -385,10 +392,13 @@ def mip_lmo(
             break
         node_lb, node_ub = stack.pop()
         nodes += 1
-        res = solve_lp(direction, region.with_bounds(node_lb, node_ub))
+        res = solve_lp(direction, region.with_bounds(node_lb, node_ub), stop_at)
         if res.status == "infeasible":
             continue
         if res.status == "error":
+            if time.monotonic() > stop_at:  # the LP was cut, not failed
+                timed_out = True
+                break
             any_lp_error = True
             continue
         if res.value >= incumbent_val - 1e-9:

@@ -22,16 +22,9 @@ from .model import Problem, VarKind
 from .penalty import SmoothObjective
 
 AGREEMENT_TOL = 1e-6
-
-
-@dataclass
-class SubproblemBudget:
-    node_cap: int = 200
-    time_slice: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.node_cap <= 0 or self.time_slice <= 0:
-            raise ValueError("budgets must be strictly positive")
+# budget of one sub-MIQCQP solve and of the Undercover MILP
+SUBPROBLEM_NODE_CAP = 200
+SUBPROBLEM_TIME_SLICE = 2.0  # seconds
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +145,6 @@ def _strict_majority(count: int, total: int) -> bool:
 def asens(
     active_set: ActiveSet,
     problem: Problem,
-    budget: SubproblemBudget,
     subsolve,
 ) -> np.ndarray | None:
     """Active Set Enforced Neighborhood Search.
@@ -185,14 +177,13 @@ def asens(
             ub[k] = min(ub[k], new_hi)
     if np.any(lb > ub):
         return None
-    return subsolve(replace(problem, lb=lb, ub=ub), budget)
+    return subsolve(replace(problem, lb=lb, ub=ub))
 
 
 def rins(
     incumbent: np.ndarray,
     x_relax: np.ndarray,
     problem: Problem,
-    budget: SubproblemBudget,
     subsolve,
 ) -> np.ndarray | None:
     """Fix the variables on which the incumbent and the relaxation agree
@@ -207,7 +198,7 @@ def rins(
             val = _half_up(val)
         val = min(max(val, lb[k]), ub[k])
         lb[k] = ub[k] = val
-    return subsolve(replace(problem, lb=lb, ub=ub), budget)
+    return subsolve(replace(problem, lb=lb, ub=ub))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +280,6 @@ def minimum_vertex_cover(
 def undercover(
     problem: Problem,
     reference: np.ndarray,
-    budget: SubproblemBudget,
     deadline: float | None = None,
 ) -> np.ndarray | None:
     """Fix a vertex cover of the nonlinearity graph to reference values so
@@ -330,8 +320,8 @@ def undercover(
         a.append(row)
     b = [-con.c for con in problem.constraints]
     region = Region(lb, ub, a, b, problem.integer_mask())
-    res = mip_lmo(direction, region, time_budget=budget.time_slice,
-                  node_budget=budget.node_cap, deadline=deadline)
+    res = mip_lmo(direction, region, time_budget=SUBPROBLEM_TIME_SLICE,
+                  node_budget=SUBPROBLEM_NODE_CAP, deadline=deadline)
     if res.point is None or not res.trusted:
         return None
     return res.point

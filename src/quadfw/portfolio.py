@@ -3,15 +3,20 @@ convexification proportions for all-binary QPs), a shared monotone
 incumbent store, and a merged incumbent trace.
 
 Worker assignment is static round-robin over the applicable grid; each
-worker gets seed ``base_seed + index``.  Workers poll the shared deadline
-at node boundaries and LMO entry, bounding overrun to about a node.
+worker gets seed ``base_seed + index``.  Worker 0 runs on the calling
+thread and the others on a thread pool, so a one-worker run starts no
+thread.  All share one clock that starts when ``run_portfolio`` is
+called: presolve and convexification count toward the time limit, the
+TTF and the primal integral.  Workers poll the deadline at node
+boundaries, LMO entry and every simplex pivot, which bounds the overrun
+to the rest of one node; ``run_portfolio`` waits for every worker and
+re-raises a worker's exception.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,13 +26,6 @@ from .ingest import build_report
 from .model import Problem
 from .penalty import SmoothObjective
 from .presolve import convexify_binary, run_presolve
-
-
-@dataclass
-class WorkerOutcome:
-    trace: bnb.SolveTrace
-    config: Config
-    error: BaseException | None = None
 
 
 def _worker_setups(base: Problem, config: Config) -> list[tuple[Config, Problem]]:
@@ -41,9 +39,8 @@ def _worker_setups(base: Problem, config: Config) -> list[tuple[Config, Problem]
             cfg = config.for_worker(w, p=config.p_grid[w % len(config.p_grid)])
             setups.append((cfg, base))
         elif binary_qp:
-            cfg = config.for_worker(w, ell=config.ell_grid[w % len(config.ell_grid)])
-            prob, _ = convexify_binary(base, cfg.ell)
-            setups.append((cfg, prob))
+            prob, _ = convexify_binary(base, config.ell_grid[w % len(config.ell_grid)])
+            setups.append((config.for_worker(w), prob))
         else:
             setups.append((config.for_worker(w), base))
     return setups
@@ -66,11 +63,14 @@ def merge_traces(traces: list[bnb.SolveTrace]) -> list[tuple[float, float]]:
 
 
 def run_portfolio(problem: Problem, config: Config, return_details: bool = False):
-    """Presolve, spawn workers, merge traces, build the run report.
+    """Presolve, run the workers, merge traces, build the run report.
 
-    With ``return_details`` the per-worker traces (including incumbent
-    points in original space) are returned alongside the report.
+    Every event time is measured from the moment of this call, and the
+    time limit ends there plus ``config.time_limit``.  With
+    ``return_details`` the per-worker traces (including incumbent points
+    in original space) are returned alongside the report.
     """
+    origin = time.monotonic()
     presolved = run_presolve(problem)
     sign = -1.0 if problem.sense_flag == "MAX" else 1.0
     if presolved.status == "infeasible":
@@ -88,39 +88,23 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
 
     setups = _worker_setups(presolved.problem, config)
     store = bnb.IncumbentStore()
-    deadline = time.monotonic() + config.time_limit
-    outcomes: list[WorkerOutcome | None] = [None] * len(setups)
 
-    def run_worker(index: int, cfg: Config, prob: Problem) -> None:
-        try:
-            objective = SmoothObjective(prob, cfg.p)
-            trace = bnb.solve(
-                prob,
-                cfg,
-                objective=objective,
-                original=problem,
-                uncrush=presolved.uncrush,
-                repair=presolved.repair_aux,
-                store=store,
-                deadline=deadline,
-            )
-            outcomes[index] = WorkerOutcome(trace, cfg)
-        except BaseException as exc:  # surfaced after join
-            outcomes[index] = WorkerOutcome(bnb.SolveTrace(), cfg, error=exc)
+    def run_worker(cfg: Config, prob: Problem) -> bnb.SolveTrace:
+        return bnb.solve(
+            prob,
+            cfg,
+            objective=SmoothObjective(prob, cfg.p),
+            original=problem,
+            uncrush=presolved.uncrush,
+            repair=presolved.repair_aux,
+            store=store,
+            t0=origin,
+        )
 
-    threads = []
-    for w, (cfg, prob) in enumerate(setups):
-        thread = threading.Thread(target=run_worker, args=(w, cfg, prob), daemon=True)
-        threads.append(thread)
-        thread.start()
-    for thread in threads:
-        remaining = max(deadline - time.monotonic(), 0.0) + 10.0
-        thread.join(timeout=remaining)
-    for outcome in outcomes:
-        if outcome is not None and outcome.error is not None:
-            raise outcome.error
-
-    traces = [o.trace for o in outcomes if o is not None]
+    with ThreadPoolExecutor(max_workers=len(setups)) as executor:
+        others = [executor.submit(run_worker, cfg, prob) for (cfg, prob) in setups[1:]]
+        first = run_worker(*setups[0])  # the calling thread is worker 0
+    traces = [first] + [future.result() for future in others]
     merged = merge_traces(traces)
     events = [(t, sign * v) for (t, v) in merged]
     status = "feasible" if merged else "no_solution"

@@ -11,7 +11,7 @@ from quadfw.bnb import solve
 from quadfw.config import Config
 from quadfw.fw import bpcg
 from quadfw.lmo import Region, mip_lmo
-from quadfw.lns import NonlinearityGraph, SubproblemBudget, asens, minimum_vertex_cover, rins
+from quadfw.lns import NonlinearityGraph, asens, minimum_vertex_cover, rins
 from quadfw.fw import ActiveSet
 from quadfw.metrics import IncumbentTrace, primal_gap, primal_integral, shifted_geomean
 from quadfw.model import (
@@ -296,15 +296,15 @@ def test_criterion_9_heuristic_triggers():
     half = ActiveSet([np.array([1.0, 2.0, 0.0, 1.0]),
                       np.array([1.0, 2.0, 1.0, 2.0])], [0.5, 0.5])
     fired = []
-    sub = lambda prob, budget: fired.append(1) or prob.lb.copy()
-    asens_half = asens(half, p4, SubproblemBudget(), sub)
+    sub = lambda prob: fired.append(1) or prob.lb.copy()
+    asens_half = asens(half, p4, sub)
     majority = ActiveSet([np.array([1.0, 2.0, 0.0, 1.0]),
                           np.array([1.0, 2.0, 0.0, 2.0])], [0.5, 0.5])
-    asens_major = asens(majority, p4, SubproblemBudget(), sub)
+    asens_major = asens(majority, p4, sub)
     rins_half = rins(np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]),
-                     p4, SubproblemBudget(), sub)
+                     p4, sub)
     rins_major = rins(np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0, 0.0]),
-                      p4, SubproblemBudget(), sub)
+                      p4, sub)
     boundary_ok = (asens_half is None and rins_half is None
                    and asens_major is not None and rins_major is not None)
 

@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
+import pytest
 
-from quadfw import bnb
+from quadfw import bnb, portfolio
 from quadfw.cli import main
 from quadfw.config import Config
 from quadfw.ingest import parse_canonical
@@ -136,7 +138,7 @@ class TestPortfolio:
 
         pres = run_presolve(p)
         prob, _ = convexify_binary(pres.problem, cfg.ell_grid[0])
-        direct = bnb.solve(prob, cfg.for_worker(0, ell=cfg.ell_grid[0]),
+        direct = bnb.solve(prob, cfg.for_worker(0),
                            original=p, uncrush=pres.uncrush, repair=pres.repair_aux)
         assert [v for (_, v) in direct.events] == [e[1] for e in report.events]
 
@@ -234,3 +236,45 @@ class TestPortfolio:
         t0 = time.monotonic()
         run_portfolio(p, Config(workers=2, time_limit=1.5, seed=0))
         assert time.monotonic() - t0 <= 1.5 + 2.0
+
+    @staticmethod
+    def slow_presolve(monkeypatch, seconds):
+        presolve = portfolio.run_presolve
+
+        def slow(problem):
+            time.sleep(seconds)
+            return presolve(problem)
+
+        monkeypatch.setattr(portfolio, "run_presolve", slow)
+
+    def test_setup_counts_toward_ttf(self, monkeypatch):
+        self.slow_presolve(monkeypatch, 0.3)
+        p = random_binary_qp(np.random.default_rng(14), 6)
+        report = run_portfolio(p, Config(workers=1, time_limit=30.0, node_limit=10, seed=0))
+        assert report.events
+        assert all(t >= 0.3 for t, _ in report.events)
+        assert report.ttf >= 0.3
+
+    def test_setup_counts_toward_the_limit(self, monkeypatch):
+        self.slow_presolve(monkeypatch, 0.3)
+        p = random_binary_qp(np.random.default_rng(14), 6)
+        report = run_portfolio(p, Config(workers=1, time_limit=0.2, seed=0))
+        assert report.events == []
+        assert report.status == "no_solution"
+
+    @pytest.mark.parametrize("failing", [0, 1])  # the calling thread, a pool thread
+    def test_worker_exception_is_raised(self, monkeypatch, failing):
+        class WorkerFailed(Exception):
+            pass
+
+        solve = bnb.solve
+
+        def failing_worker(problem, config, **kwargs):
+            if config.seed == failing:
+                raise WorkerFailed(f"worker {failing}")
+            return solve(problem, config, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve", failing_worker)
+        p = random_binary_qp(np.random.default_rng(15), 5)
+        with pytest.raises(WorkerFailed):
+            run_portfolio(p, Config(workers=2, time_limit=5.0, node_limit=5, seed=0))

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from quadfw import lmo
 from quadfw.bnb import SolutionPool, SolveTrace
 from quadfw.fw import ActiveSet
 from quadfw.lmo import (
@@ -54,6 +56,12 @@ class TestSolveLp:
              [1.0]]   # x <= 1
         res = solve_lp(np.array([1.0]), box([0], [5], a=a, b=[-2.0, 1.0]))
         assert res.status == "infeasible"
+
+    def test_stop_time_in_the_past_ends_the_simplex(self):
+        region = box([0, 0], [1, 1], a=[[1.0, 1.0]], b=[1.0])
+        res = solve_lp(np.array([-1.0, -1.0]), region, stop_at=time.monotonic() - 1.0)
+        assert res.status != "optimal"
+        assert res.point is None
 
     def test_no_rows_matches_box_lmo(self):
         rng = np.random.default_rng(4)
@@ -212,6 +220,21 @@ class TestMipLmo:
         a = [rng.normal(size=n) for _ in range(6)]
         region = box(np.zeros(n), np.ones(n), integer=[True] * n, a=a, b=[0.1] * 6)
         res = mip_lmo(rng.normal(size=n), region, time_budget=0.0)
+        assert res.status == "timeout"
+        assert not res.trusted
+
+    def test_root_lp_cut_by_the_clock_is_a_timeout(self, monkeypatch):
+        # the only LP of the search outlives the budget: that is a timeout,
+        # not an LP failure that would leave no vertex
+        lp = lmo.solve_lp
+
+        def slow_lp(direction, region, stop_at):
+            time.sleep(0.1)
+            return lp(direction, region, stop_at)
+
+        monkeypatch.setattr(lmo, "solve_lp", slow_lp)
+        region = box([0, 0], [1, 1], integer=[True, True], a=[[1.0, 1.0]], b=[1.0])
+        res = mip_lmo(np.array([-1.0, -1.0]), region, time_budget=0.05)
         assert res.status == "timeout"
         assert not res.trusted
 

@@ -6,7 +6,6 @@ from quadfw.fw import ActiveSet
 from quadfw.lmo import Region
 from quadfw.lns import (
     NonlinearityGraph,
-    SubproblemBudget,
     asens,
     bipartite_qubo_improve,
     follow_the_gradient,
@@ -124,12 +123,12 @@ class TestAsens:
                            [0.5, 0.5])
         captured = {}
 
-        def fake_subsolve(sub, budget):
+        def fake_subsolve(sub):
             captured["lb"] = sub.lb.copy()
             captured["ub"] = sub.ub.copy()
             return np.array([1.0, 0.0, 0.2])
 
-        out = asens(active, self.three_var_problem(), SubproblemBudget(), fake_subsolve)
+        out = asens(active, self.three_var_problem(), fake_subsolve)
         assert out is not None
         assert captured["lb"][0] == captured["ub"][0] == 1.0
         assert captured["lb"][1] == captured["ub"][1] == 0.0
@@ -140,7 +139,7 @@ class TestAsens:
         active = ActiveSet([np.array([1.0, 0.0, 0.2]), np.array([0.0, 1.0, 0.7])],
                            [0.5, 0.5])
         called = []
-        out = asens(active, self.three_var_problem(), SubproblemBudget(),
+        out = asens(active, self.three_var_problem(),
                     lambda *_: called.append(1))
         assert out is None and not called
 
@@ -149,12 +148,12 @@ class TestAsens:
         p = make_problem(4, kinds, ub=[3, 3, 3, 3])
         active = ActiveSet([np.array([1.0, 2.0, 0.0, 1.0]),
                             np.array([1.0, 2.0, 1.0, 2.0])], [0.5, 0.5])
-        out = asens(active, p, SubproblemBudget(), lambda *_: 1)
+        out = asens(active, p, lambda *_: 1)
         assert out is None
 
     def test_single_vertex_precondition(self):
         active = ActiveSet.from_vertex(np.array([1.0, 0.0, 0.2]))
-        assert asens(active, self.three_var_problem(), SubproblemBudget(),
+        assert asens(active, self.three_var_problem(),
                      lambda *_: 1) is None
 
 
@@ -163,13 +162,13 @@ class TestRins:
         p = make_problem(3, [VarKind.INTEGER] * 3, ub=[5, 5, 5])
         captured = {}
 
-        def fake_subsolve(sub, budget):
+        def fake_subsolve(sub):
             captured["lb"] = sub.lb.copy()
             captured["ub"] = sub.ub.copy()
             return np.array([1.0, 0.0, 2.0])
 
         out = rins(np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.4]), p,
-                   SubproblemBudget(), fake_subsolve)
+                   fake_subsolve)
         assert out is not None
         assert captured["lb"][0] == captured["ub"][0] == 1.0
         assert captured["lb"][1] == captured["ub"][1] == 0.0
@@ -178,19 +177,19 @@ class TestRins:
     def test_exactly_half_does_not_fire(self):
         p = make_problem(4, [VarKind.INTEGER] * 4, ub=[5] * 4)
         out = rins(np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]),
-                   p, SubproblemBudget(), lambda *_: 1)
+                   p, lambda *_: 1)
         assert out is None
 
     def test_full_agreement_fixes_everything(self):
         p = make_problem(2, [VarKind.INTEGER] * 2, ub=[5, 5])
         captured = {}
 
-        def fake_subsolve(sub, budget):
+        def fake_subsolve(sub):
             captured["span"] = float(np.max(sub.ub - sub.lb))
             return sub.lb.copy()
 
         out = rins(np.array([2.0, 3.0]), np.array([2.0, 3.0]), p,
-                   SubproblemBudget(), fake_subsolve)
+                   fake_subsolve)
         assert out is not None
         assert captured["span"] == 0.0
 
@@ -214,7 +213,7 @@ class TestUndercover:
 
     def test_no_quadratic_terms_single_milp(self):
         p = make_problem(2, [VarKind.INTEGER] * 2, ub=[3, 3], d=[1.0, -1.0])
-        out = undercover(p, np.array([0.0, 0.0]), SubproblemBudget())
+        out = undercover(p, np.array([0.0, 0.0]))
         assert out is not None
         assert eval_objective(p, out) == pytest.approx(-3.0)
 
@@ -235,7 +234,7 @@ class TestUndercover:
         # min x0 x1 - 2 x0 - x1 over {0..3}^2; either singleton covers the edge
         p = make_problem(2, [VarKind.INTEGER] * 2, ub=[3, 3],
                          terms=[(0, 1, 1.0)], d=[-2.0, -1.0])
-        out = undercover(p, np.array([0.0, 0.0]), SubproblemBudget())
+        out = undercover(p, np.array([0.0, 0.0]))
         assert out is not None
         # covered variable stays at the reference 0; the other is optimized
         if out[0] == 0.0:
@@ -311,9 +310,3 @@ class TestBipartiteQubo:
             out = bipartite_qubo_improve(terms, d, x0)
             assert value(out) <= value(x0) + 1e-12
 
-
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        SubproblemBudget(node_cap=0)
-    with pytest.raises(ValueError):
-        SubproblemBudget(time_slice=-1.0)
