@@ -253,7 +253,6 @@ def solve(
     repair=None,
     store: IncumbentStore | None = None,
     t0: float | None = None,
-    depth: int = 0,
 ) -> SolveTrace:
     """Explore the penalty-relaxed problem depth-first and collect
     original-feasible incumbents.
@@ -288,7 +287,7 @@ def solve(
     rng = np.random.default_rng(config.seed)
     state = RestartState()
 
-    run_lns = config.enable_lns and depth == 0
+    run_lns = config.enable_lns
     last_asens = -_LNS_COOLDOWN
     last_rins = -_LNS_COOLDOWN
     undercover_done = False
@@ -303,13 +302,8 @@ def solve(
     )
 
     def subsolve(sub_problem: Problem):
-        start = time.monotonic()
-        sub_config = replace(
-            config,
-            enable_lns=False,
-            node_limit=lns.SUBPROBLEM_NODE_CAP,
-            time_limit=min(lns.SUBPROBLEM_TIME_SLICE, deadline - start),
-        )
+        # no nested LNS; the run's t0 and time limit, so the run's deadline
+        sub_config = replace(config, enable_lns=False, node_limit=lns.SUBPROBLEM_NODE_CAP)
         sub_trace = solve(
             sub_problem,
             sub_config,
@@ -318,8 +312,7 @@ def solve(
             uncrush=uncrush,
             repair=repair,
             store=None,
-            t0=start,
-            depth=depth + 1,
+            t0=t0,
         )
         return sub_trace.incumbent_reform
 
@@ -361,9 +354,10 @@ def solve(
                 init_direction=node.init_direction,
             )
         except RegionInfeasible:
+            # an empty region, or a MIP-LMO stopped before finding a vertex
             infeasible_node = True
             if state.node_count == 0 and node.depth == 0 and not stack:
-                termination = "root_infeasible"
+                termination = "time_limit" if time.monotonic() > deadline else "root_infeasible"
 
         if not infeasible_node:
             for v in result.vertices:

@@ -125,7 +125,7 @@ class FwResult:
     active_set: ActiveSet
     dual_gap: float
     iterations: int
-    vertices: list[np.ndarray]  # trusted vertices discovered via the LMO
+    vertices: list[np.ndarray]  # vertices discovered via the LMO
     dropped: list[np.ndarray]
     objective_trace: list[float]
     lmo_calls: int = 0
@@ -193,34 +193,43 @@ def bpcg(
     """Run BPCG until the dual gap falls below eps, the iteration budget
     is exhausted, or the deadline passes.
 
-    Raises :class:`RegionInfeasible` when the LMO reports an empty
-    region.  The global gap estimate is <grad, x - v> from the most
-    recent true LMO call.
+    Raises :class:`RegionInfeasible` when the LMO returns no vertex: the
+    region is empty, or the MIP search stopped before finding one.  The
+    global gap estimate is <grad, x - v> from the most recent true LMO
+    call.
     """
     discovered: list[np.ndarray] = []
     dropped: list[np.ndarray] = []
     lmo_calls = 0
 
-    def full_lmo(direction: np.ndarray):
+    def full_lmo(direction: np.ndarray) -> np.ndarray:
         nonlocal lmo_calls
         lmo_calls += 1
         res = mip_lmo(direction, region, deadline=deadline)
-        if res.status == "infeasible":
-            raise RegionInfeasible("LMO region is infeasible")
         if res.point is None:
-            raise RegionInfeasible("LMO failed to produce a vertex")
-        if res.trusted:
-            discovered.append(res.point)
-            if cache is not None:
-                cache.insert(res.point, region)
-        return res.point, res.trusted
+            raise RegionInfeasible(f"LMO returned no vertex ({res.status})")
+        discovered.append(res.point)
+        if cache is not None:
+            cache.insert(res.point, region)
+        return res.point
+
+    def fw_toward(v: np.ndarray) -> bool:
+        """Line search toward v and take the FW step; True if x moved."""
+        nonlocal x, f_x
+        gamma = _line_search(objective, x, v - x, 1.0, f_x)
+        if gamma <= 0.0:
+            return False
+        dropped.extend(active.fw_step(v, gamma))
+        x = (1.0 - gamma) * x + gamma * v
+        f_x = objective.value(x)
+        return True
 
     active = warm.copy() if warm is not None and len(warm) else None
     if active is None:
         if init_direction is None:
             mid = 0.5 * (region.lb + region.ub)
             init_direction = objective.gradient(mid)
-        v0, _ = full_lmo(init_direction)
+        v0 = full_lmo(init_direction)
         active = ActiveSet.from_vertex(v0)
     active.renormalize()
     x = active.iterate().copy()
@@ -228,7 +237,7 @@ def bpcg(
     trace = [f_x]
 
     grad = objective.gradient(x)
-    v_fw, _ = full_lmo(grad)
+    v_fw = full_lmo(grad)
     phi = float(grad @ (x - v_fw))
     status = "ok"
     iterations = 0
@@ -258,18 +267,13 @@ def bpcg(
             else:
                 # no local progress possible; force a fresh FW vertex next
                 phi_stale = phi
-                v, _ = full_lmo(grad)
+                v = full_lmo(grad)
                 phi = float(grad @ (x - v))
                 if phi <= eps:
                     trace.append(f_x)
                     status = "converged"
                     break
-                gamma = _line_search(objective, x, v - x, 1.0, f_x)
-                if gamma > 0.0:
-                    dropped.extend(active.fw_step(v, gamma))
-                    x = (1.0 - gamma) * x + gamma * v
-                    f_x = objective.value(x)
-                elif phi >= phi_stale:  # genuinely stuck
+                if not fw_toward(v) and phi >= phi_stale:  # genuinely stuck
                     trace.append(f_x)
                     status = "stalled"
                     break
@@ -279,27 +283,18 @@ def bpcg(
             if cache is not None:
                 v = lazy_lookup(cache, grad, x, phi, region)
             if v is None:
-                v, _ = full_lmo(grad)
+                v = full_lmo(grad)
                 fresh = True
                 phi = float(grad @ (x - v))
                 if phi <= eps:
                     trace.append(f_x)
                     status = "converged"
                     break
-            gamma = _line_search(objective, x, v - x, 1.0, f_x)
-            if gamma > 0.0:
-                dropped.extend(active.fw_step(v, gamma))
-                x = (1.0 - gamma) * x + gamma * v
-                f_x = objective.value(x)
-            elif not fresh:
+            if not fw_toward(v) and not fresh:
                 # cached vertex gave no progress; pay for a true call once
-                v, _ = full_lmo(grad)
+                v = full_lmo(grad)
                 phi = float(grad @ (x - v))
-                gamma = _line_search(objective, x, v - x, 1.0, f_x)
-                if gamma > 0.0:
-                    dropped.extend(active.fw_step(v, gamma))
-                    x = (1.0 - gamma) * x + gamma * v
-                    f_x = objective.value(x)
+                fw_toward(v)
         # keep the cached iterate exact; weights drift slightly over steps
         active.renormalize()
         x = active.iterate().copy()

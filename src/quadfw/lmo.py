@@ -12,7 +12,8 @@ Three layers:
   stop time has passed,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
-  pruning on the LP bound).
+  pruning on the LP bound), capped at ``MIP_NODE_CAP`` nodes and stopped
+  at the caller's deadline.
 
 A per-worker ``VertexCache`` stores integer vertices for lazified
 Frank-Wolfe; ``lazy_lookup`` returns a cached vertex of sufficient
@@ -32,6 +33,8 @@ from .model import Problem, Sense
 ROW_FEASIBILITY_TOL = 1e-7
 INT_TOL = 1e-6
 _LP_TOL = 1e-9
+# nodes of one mip_lmo search; the benchmark's MIP calls take at most 125
+MIP_NODE_CAP = 1000
 
 
 @dataclass
@@ -320,7 +323,7 @@ class MipResult:
     point: np.ndarray | None
     value: float
     status: str  # optimal | infeasible | timeout | error
-    trusted: bool = True
+    trusted: bool = True  # False exactly when a stopped search has no point
 
 
 def most_fractional(x: np.ndarray, int_mask: np.ndarray) -> int | None:
@@ -345,8 +348,6 @@ def _snap_integers(x: np.ndarray, int_mask: np.ndarray) -> np.ndarray:
 def mip_lmo(
     direction: np.ndarray,
     region: Region,
-    time_budget: float = 1.0,
-    node_budget: int | None = None,
     deadline: float | None = None,
 ) -> MipResult:
     """Optimal mixed-integer vertex of min direction'x over the region.
@@ -355,9 +356,9 @@ def mip_lmo(
     (lowest index breaks ties), down branch explored first, nodes pruned
     when their LP bound reaches the incumbent minus 1e-9.
 
-    On hitting the time budget the incumbent is returned if one exists;
-    otherwise the box minimizer (ignoring rows) is returned marked
-    untrusted so callers exclude it from caches and candidate pools.
+    A search stopped after ``MIP_NODE_CAP`` nodes or at ``deadline`` (a
+    ``time.monotonic()`` reading) returns its incumbent with status
+    ``timeout``, or no point (``trusted`` False) when it has none.
     """
     direction = np.asarray(direction, dtype=float)
     int_mask = region.integer_mask
@@ -372,10 +373,7 @@ def mip_lmo(
         x = box_lmo(direction, region.with_bounds(lb, ub))
         return MipResult(x, float(direction @ x), "optimal")
 
-    stop_at = time.monotonic() + time_budget
-    if deadline is not None:
-        stop_at = min(stop_at, deadline)
-
+    stop_at = math.inf if deadline is None else deadline
     stack: list[tuple[np.ndarray, np.ndarray]] = [(lb, ub)]
     incumbent: np.ndarray | None = None
     incumbent_val = math.inf
@@ -384,10 +382,7 @@ def mip_lmo(
     any_lp_error = False
 
     while stack:
-        if time.monotonic() > stop_at:
-            timed_out = True
-            break
-        if node_budget is not None and nodes >= node_budget:
+        if nodes >= MIP_NODE_CAP or time.monotonic() > stop_at:
             timed_out = True
             break
         node_lb, node_ub = stack.pop()
@@ -419,10 +414,7 @@ def mip_lmo(
         stack.append((node_lb, down_ub))  # down branch explored first
 
     if timed_out:
-        if incumbent is not None:
-            return MipResult(incumbent, incumbent_val, "timeout", trusted=True)
-        x = box_lmo(direction, region.with_bounds(lb, ub))
-        return MipResult(x, float(direction @ x), "timeout", trusted=False)
+        return MipResult(incumbent, incumbent_val, "timeout", trusted=incumbent is not None)
     if incumbent is None:
         if any_lp_error:
             return MipResult(None, math.inf, "error")

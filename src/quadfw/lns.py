@@ -5,8 +5,9 @@ alternation improver.
 Heuristics never write incumbents directly: every candidate goes through
 the caller-supplied submit callback, which evaluates the original
 objective and constraints.  Sub-MIQCQP solves are delegated to an
-injected ``subsolve`` callable so recursion stays budgeted (depth 1, no
-nested LNS).
+injected ``subsolve`` callable; the caller runs them without LNS, capped
+at ``SUBPROBLEM_NODE_CAP`` nodes and stopped at the run's deadline, so
+they never nest.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .model import Problem, VarKind
 from .penalty import SmoothObjective
 
 AGREEMENT_TOL = 1e-6
-# budget of one sub-MIQCQP solve and of the Undercover MILP
+# node limit of one sub-MIQCQP solve
 SUBPROBLEM_NODE_CAP = 200
-SUBPROBLEM_TIME_SLICE = 2.0  # seconds
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def follow_the_gradient(
     (original objective) is returned.
     """
     res = mip_lmo(start_direction, region, deadline=deadline)
-    if res.point is None or not res.trusted:
+    if res.point is None:
         return None
     visited = [res.point]
     seen = {vertex_key(res.point)}
@@ -118,7 +118,7 @@ def follow_the_gradient(
     for _ in range(budget):
         grad = objective.gradient(v)
         res = mip_lmo(grad, region, deadline=deadline)
-        if res.point is None or not res.trusted:
+        if res.point is None:
             break
         key = vertex_key(res.point)
         if key in seen:
@@ -320,11 +320,7 @@ def undercover(
         a.append(row)
     b = [-con.c for con in problem.constraints]
     region = Region(lb, ub, a, b, problem.integer_mask())
-    res = mip_lmo(direction, region, time_budget=SUBPROBLEM_TIME_SLICE,
-                  node_budget=SUBPROBLEM_NODE_CAP, deadline=deadline)
-    if res.point is None or not res.trusted:
-        return None
-    return res.point
+    return mip_lmo(direction, region, deadline=deadline).point
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,13 @@ def propagate_bounds(
     """
     lb = problem.lb.copy()
     ub = problem.ub.copy()
-    rows = [problem.constraints[i] for i in problem.linear_constraint_indices()
-            if problem.constraints[i].sense is Sense.LE]
+    rows = []  # (variable indices, coefficients, beta) of each row a'x <= beta
+    for i in problem.linear_constraint_indices():
+        con = problem.constraints[i]
+        if con.sense is Sense.LE:
+            idx = np.fromiter(con.b.keys(), dtype=int, count=len(con.b))
+            coef = np.fromiter(con.b.values(), dtype=float, count=len(con.b))
+            rows.append((idx, coef, -con.c))
 
     def round_inward(k: int) -> None:
         if problem.integrality[k] is not VarKind.CONTINUOUS:
@@ -114,34 +119,30 @@ def propagate_bounds(
 
     for _ in range(max_rounds):
         changed = False
-        for con in rows:
-            beta = -con.c  # a'x <= beta
-            items = list(con.b.items())
-            # minimum activity of the full row; refine per variable below
-            for k, a_k in items:
-                minact = 0.0
-                finite = True
-                for j, a_j in items:
-                    if j == k:
-                        continue
-                    contrib_bound = lb[j] if a_j > 0 else ub[j]
-                    if not math.isfinite(contrib_bound):
-                        finite = False
-                        break
-                    minact += a_j * contrib_bound
-                if not finite:
-                    continue
-                limit = (beta - minact) / a_k
-                if a_k > 0:
-                    if limit < ub[k] - _FEAS_EPS:
-                        ub[k] = limit
-                        round_inward(k)
-                        changed = True
+        for idx, coef, beta in rows:
+            # x_k's own contribution uses the bound its tightening leaves
+            # alone, so the row's minimum activity is computed once per pass
+            up = coef > 0
+            bound = np.where(up, lb[idx], ub[idx])
+            finite = np.isfinite(bound)
+            n_inf = len(bound) - int(np.count_nonzero(finite))
+            if n_inf > 1:
+                continue
+            contrib = coef * np.where(finite, bound, 0.0)
+            # minimum activity of the other variables of the row
+            rest = contrib.sum() - contrib
+            usable = ~finite if n_inf else finite
+            limit = (beta - rest) / coef
+            tighten = usable & np.where(up, limit < ub[idx] - _FEAS_EPS,
+                                        limit > lb[idx] + _FEAS_EPS)
+            for pos in np.flatnonzero(tighten):
+                k = int(idx[pos])
+                if up[pos]:
+                    ub[k] = limit[pos]
                 else:
-                    if limit > lb[k] + _FEAS_EPS:
-                        lb[k] = limit
-                        round_inward(k)
-                        changed = True
+                    lb[k] = limit[pos]
+                round_inward(k)
+                changed = True
         if np.any(lb > ub + _FEAS_EPS):
             return lb, ub, "infeasible"
         if not changed:

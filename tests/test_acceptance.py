@@ -149,7 +149,7 @@ def test_criterion_4_mip_lmo_oracle_equivalence():
         region = Region(lb, ub, [a for a, _ in rows], [rhs for _, rhs in rows],
                         np.ones(n, dtype=bool))
         direction = rng.normal(size=n)
-        res = mip_lmo(direction, region, time_budget=30.0)
+        res = mip_lmo(direction, region)
         # independent enumeration oracle (shares nothing with the MIP path)
         ref_prob = Problem(
             n=n, terms_obj=[], d=direction, c0=0.0,

@@ -1,6 +1,11 @@
+import itertools
+import math
+import time
+
 import numpy as np
 import pytest
 
+from quadfw import fw
 from quadfw.bnb import (
     IncumbentStore,
     Node,
@@ -13,11 +18,12 @@ from quadfw.bnb import (
 )
 from quadfw.config import Config
 from quadfw.fw import ActiveSet
-from quadfw.lmo import most_fractional
+from quadfw.lmo import MipResult, most_fractional
 from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
 from quadfw.oracle import brute_force
+from quadfw.portfolio import run_portfolio
 
-from conftest import random_binary_qp
+from conftest import random_binary_qp, random_miqcqp
 
 
 def binary_problem(n, terms, d, cons=()):
@@ -143,6 +149,32 @@ class TestSolve:
         trace = solve(p, Config(workers=1, time_limit=5.0, node_limit=10))
         assert trace.status == "no_solution"
         assert trace.termination == "root_infeasible"
+
+    @pytest.mark.parametrize("late, expected", [(False, "root_infeasible"), (True, "time_limit")])
+    def test_root_without_vertex_past_the_deadline_is_a_time_limit(self, monkeypatch, late, expected):
+        def no_vertex(direction, region, deadline=None):
+            if late:
+                time.sleep(max(0.0, deadline - time.monotonic()) + 0.05)
+            return MipResult(None, math.inf, "timeout", trusted=False)
+
+        monkeypatch.setattr(fw, "mip_lmo", no_vertex)
+        p = binary_problem(2, [], [-1.0, -2.0])
+        trace = solve(p, Config(workers=1, time_limit=0.5 if late else 60.0, node_limit=10))
+        assert trace.status == "no_solution"
+        assert trace.termination == expected
+
+    def test_node_limited_solve_ignores_the_wall_clock(self, monkeypatch):
+        # a clock that moves 0.25 s per reading must not change a one-worker,
+        # node-limited search: only the run deadline reads the wall clock
+        problem = random_miqcqp(np.random.default_rng(75), 8, n_quad=2, n_lin=2)
+        cfg = Config(workers=1, time_limit=1e6, node_limit=8, seed=3)
+        real = run_portfolio(problem, cfg)
+        start = time.monotonic()
+        readings = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: start + 0.25 * next(readings))
+        fast = run_portfolio(problem, cfg)
+        assert next(readings) > 100
+        assert (fast.nodes, fast.best_objective) == (real.nodes, real.best_objective)
 
     def test_incumbents_pass_original_feasibility(self):
         rng = np.random.default_rng(3)

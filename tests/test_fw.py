@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadfw import fw
 from quadfw.fw import ActiveSet, RegionInfeasible, bpcg, secant_step
-from quadfw.lmo import Region, VertexCache
+from quadfw.lmo import MipResult, Region, VertexCache
 from quadfw.model import Problem, QuadConstraint, VarKind
 from quadfw.penalty import SmoothObjective
 
@@ -177,3 +182,69 @@ class TestBpcg:
             res = bpcg(obj, box_region(np.zeros(n), np.ones(n)), warm=warm,
                        max_iter=7, eps=1e-10)
             assert obj.value(res.x) <= start_val + 1e-12
+
+
+def _nonconvex_objective(q_flat, d) -> SmoothObjective:
+    n = len(d)
+    q_mat = np.reshape(q_flat, (n, n))
+    terms = [(i, i, q_mat[i, i]) for i in range(n)]
+    terms += [(i, j, q_mat[i, j] + q_mat[j, i]) for i in range(n) for j in range(i + 1, n)]
+    prob = Problem(n=n, terms_obj=[t for t in terms if t[2] != 0.0],
+                   d=np.asarray(d, dtype=float), c0=0.0, constraints=[],
+                   lb=np.zeros(n), ub=np.ones(n),
+                   integrality=[VarKind.CONTINUOUS] * n)
+    return SmoothObjective(prob, p=1.5)
+
+
+@st.composite
+def _row_region_case(draw):
+    """A mixed-integer row region around an integer anchor point, and a
+    possibly nonconvex quadratic objective."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 3))
+    coef = st.floats(-3.0, 3.0, allow_nan=False)
+    lb = np.array(draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n)), dtype=float)
+    ub = lb + np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+    anchor = np.array([draw(st.integers(int(lo), int(hi))) for lo, hi in zip(lb, ub)], dtype=float)
+    a = np.array(draw(st.lists(coef, min_size=m * n, max_size=m * n))).reshape(m, n)
+    slack = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    region = Region(lb, ub, a, a @ anchor + slack, mask)
+    q_flat = draw(st.lists(coef, min_size=n * n, max_size=n * n))
+    d = draw(st.lists(coef, min_size=n, max_size=n))
+    return region, _nonconvex_objective(q_flat, d)
+
+
+class TestIterateStaysInRegion:
+    @settings(deadline=None, max_examples=60)
+    @given(_row_region_case())
+    def test_iterate_satisfies_rows_and_bounds(self, case):
+        region, obj = case
+        res = bpcg(obj, region, max_iter=20, eps=1e-8, cache=VertexCache())
+        assert region.contains(res.x)
+
+    def test_lmo_without_vertex_never_enters_the_active_set(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        n = 5
+        region = Region(np.zeros(n), 2 * np.ones(n), rng.normal(size=(3, n)),
+                        np.ones(3), np.ones(n, dtype=bool))
+        obj = _nonconvex_objective(rng.normal(size=n * n), rng.normal(size=n))
+        calls = bpcg(obj, region, max_iter=30, eps=1e-9).lmo_calls
+        assert calls >= 3
+        real = fw.mip_lmo
+        for k in range(1, calls + 1):
+            count = 0
+
+            def stops_on_kth_call(direction, region, deadline=None):
+                nonlocal count
+                count += 1
+                if count == k:
+                    return MipResult(None, math.inf, "timeout", trusted=False)
+                return real(direction, region, deadline=deadline)
+
+            monkeypatch.setattr(fw, "mip_lmo", stops_on_kth_call)
+            try:
+                res = bpcg(obj, region, max_iter=30, eps=1e-9)
+            except RegionInfeasible:
+                continue
+            assert region.contains(res.x)

@@ -189,7 +189,7 @@ class TestMipLmo:
             region = box(lb, ub, integer=[True] * n,
                          a=[r[0] for r in rows], b=[r[1] for r in rows])
             direction = rng.normal(size=n)
-            res = mip_lmo(direction, region, time_budget=10.0)
+            res = mip_lmo(direction, region)
             expected = enumerate_mip(direction, region)
             if res.status == "infeasible":
                 assert expected == np.inf, f"trial {trial}"
@@ -207,25 +207,36 @@ class TestMipLmo:
             a = [rng.normal(size=n)]
             region = box(lb, ub, integer=mask, a=a, b=[float(rng.normal() + 1.5)])
             direction = rng.normal(size=n)
-            res = mip_lmo(direction, region, time_budget=10.0)
+            res = mip_lmo(direction, region)
             expected = enumerate_mip(direction, region)
             if res.status == "infeasible":
                 assert expected == np.inf
             else:
                 assert res.value == pytest.approx(expected, abs=1e-7)
 
-    def test_timeout_returns_untrusted_box_vertex(self):
+    def test_past_deadline_without_incumbent_returns_no_point(self):
         n = 14
         rng = np.random.default_rng(5)
         a = [rng.normal(size=n) for _ in range(6)]
         region = box(np.zeros(n), np.ones(n), integer=[True] * n, a=a, b=[0.1] * 6)
-        res = mip_lmo(rng.normal(size=n), region, time_budget=0.0)
+        res = mip_lmo(rng.normal(size=n), region, deadline=time.monotonic() - 1.0)
         assert res.status == "timeout"
+        assert res.point is None
         assert not res.trusted
 
+    def test_node_cap_stops_the_search(self, monkeypatch):
+        # the root LP is fractional, so one node gives no incumbent
+        region = box([0, 0], [1, 1], integer=[True, True], a=[[2.0, 2.0]], b=[1.0])
+        direction = np.array([-1.0, -1.0])
+        assert mip_lmo(direction, region).status == "optimal"
+        monkeypatch.setattr(lmo, "MIP_NODE_CAP", 1)
+        res = mip_lmo(direction, region)
+        assert res.status == "timeout"
+        assert res.point is None
+
     def test_root_lp_cut_by_the_clock_is_a_timeout(self, monkeypatch):
-        # the only LP of the search outlives the budget: that is a timeout,
-        # not an LP failure that would leave no vertex
+        # the only LP of the search outlives the deadline: that is a
+        # timeout, not an LP failure
         lp = lmo.solve_lp
 
         def slow_lp(direction, region, stop_at):
@@ -234,8 +245,9 @@ class TestMipLmo:
 
         monkeypatch.setattr(lmo, "solve_lp", slow_lp)
         region = box([0, 0], [1, 1], integer=[True, True], a=[[1.0, 1.0]], b=[1.0])
-        res = mip_lmo(np.array([-1.0, -1.0]), region, time_budget=0.05)
+        res = mip_lmo(np.array([-1.0, -1.0]), region, deadline=time.monotonic() + 0.05)
         assert res.status == "timeout"
+        assert res.point is None
         assert not res.trusted
 
 
