@@ -11,7 +11,6 @@ of the parent's active set, and the search restarts every
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -65,25 +64,23 @@ class SolveTrace:
 
 
 class IncumbentStore:
-    """Shared monotone incumbent: atomic compare-and-improve on the
-    original-objective value (internal minimization sense)."""
+    """Monotone incumbent that the portfolio's workers, run one after
+    the other, hand on: compare-and-improve on the original-objective
+    value (internal minimization sense)."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._value = math.inf
         self._point: np.ndarray | None = None
 
     def offer(self, value: float, point: np.ndarray) -> bool:
-        with self._lock:
-            if value < self._value:
-                self._value = value
-                self._point = point.copy()
-                return True
-            return False
+        if value < self._value:
+            self._value = value
+            self._point = point.copy()
+            return True
+        return False
 
     def read(self) -> tuple[float, np.ndarray | None]:
-        with self._lock:
-            return self._value, None if self._point is None else self._point.copy()
+        return self._value, None if self._point is None else self._point.copy()
 
 
 class SolutionPool:

@@ -1,7 +1,9 @@
 """Solver configuration (shared by the CLI, the portfolio and the tree
-search).  A portfolio resolves the per-worker fields ``p`` and ``seed``
-(and the convexification proportion of an all-binary QP) from the grids;
-a direct solve uses them as given."""
+search).  ``workers`` is the number of grid configs the portfolio runs
+one after the other, each on a fair share of the time left.  A portfolio
+resolves the per-worker fields ``p`` and ``seed`` (and the
+convexification proportion of an all-binary QP) from the grids; a direct
+solve uses them as given."""
 
 from __future__ import annotations
 

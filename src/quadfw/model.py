@@ -76,12 +76,6 @@ class QuadConstraint:
             out[k] = v
         return out
 
-    def max_abs_coef(self) -> float:
-        vals = [abs(q) for (_, _, q) in self.terms]
-        vals.extend(abs(v) for v in self.b.values())
-        vals.append(abs(self.c))
-        return max(vals) if vals else 0.0
-
 
 @dataclass
 class FeasibilityReport:

@@ -1,7 +1,7 @@
 """Power-penalty relaxation of quadratic constraints.
 
 Each remaining quadratic constraint ``g_i(x) <= 0`` is dropped from the
-constraint set and ``w_i * max(g_i(x), 0)^p`` is added to the objective,
+constraint set and ``max(g_i(x), 0)^p`` is added to the objective,
 for an exponent ``p > 1``.  Linear constraints are not penalized; they
 are handled by the linear minimization oracle.
 """
@@ -27,12 +27,7 @@ class SmoothObjective:
     constraints; read-only after construction, one instance per worker.
     """
 
-    def __init__(
-        self,
-        problem: Problem,
-        p: float = 1.5,
-        weight_mode: str = "uniform",
-    ):
+    def __init__(self, problem: Problem, p: float = 1.5):
         if p <= 1.0:
             raise ValueError("penalty exponent must exceed 1")
         self.problem = problem
@@ -44,19 +39,10 @@ class SmoothObjective:
         self.penalized: list[QuadConstraint] = [
             con for con in problem.constraints if con.terms
         ]
-        self._cons = []
-        weights = []
-        for con in self.penalized:
-            a_mat = assemble_symmetric(n, con.terms)
-            b = con.b_dense(n)
-            self._cons.append((a_mat, b, con.c))
-            if weight_mode == "scaled":
-                weights.append(1.0 / max(1.0, con.max_abs_coef()))
-            elif weight_mode == "uniform":
-                weights.append(1.0)
-            else:
-                raise ValueError(f"unknown weight mode '{weight_mode}'")
-        self.weights = np.array(weights) if weights else np.zeros(0)
+        self._cons = [
+            (assemble_symmetric(n, con.terms), con.b_dense(n), con.c)
+            for con in self.penalized
+        ]
         self.n_value_evals = 0
         self.n_gradient_evals = 0
 
@@ -72,18 +58,18 @@ class SmoothObjective:
         self.n_value_evals += 1
         x = np.asarray(x, dtype=float)
         total = self.base_value(x)
-        for w, g in zip(self.weights, self.constraint_values(x).tolist()):
+        for g in self.constraint_values(x).tolist():
             if g > 0.0:
-                total += w * g**self.p
+                total += g**self.p
         return total
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self.n_gradient_evals += 1
         x = np.asarray(x, dtype=float)
         grad = self.q_mat @ x + self.d
-        for w, g, (a, b, _) in zip(self.weights, self.constraint_values(x).tolist(), self._cons):
+        for g, (a, b, _) in zip(self.constraint_values(x).tolist(), self._cons):
             if g > 0.0:
-                grad = grad + (w * self.p * g ** (self.p - 1.0)) * (a @ x + b)
+                grad = grad + (self.p * g ** (self.p - 1.0)) * (a @ x + b)
         return grad
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:

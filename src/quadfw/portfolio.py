@@ -1,22 +1,24 @@
-"""Parallel portfolio: W workers with varied penalty exponents (or
+"""Portfolio: W workers with varied penalty exponents (or
 convexification proportions for all-binary QPs), a shared monotone
 incumbent store, and a merged incumbent trace.
 
 Worker assignment is static round-robin over the applicable grid; each
-worker gets seed ``base_seed + index``.  Worker 0 runs on the calling
-thread and the others on a thread pool, so a one-worker run starts no
-thread.  All share one clock that starts when ``run_portfolio`` is
-called: presolve and convexification count toward the time limit, the
-TTF and the primal integral.  Workers poll the deadline at node
-boundaries, LMO entry and every simplex pivot, which bounds the overrun
-to the rest of one node; ``run_portfolio`` waits for every worker and
-re-raises a worker's exception.
+worker gets seed ``base_seed + index``.  The workers run one after the
+other on the calling thread, each to its node limit or to its fair
+share of the time left: worker ``w`` may use ``1 / (W - w)`` of it, so
+the last one stops at the run's time limit.  All share one clock that
+starts when ``run_portfolio`` is called: presolve and convexification
+count toward the time limit, the TTF and the primal integral.  Workers
+poll their stop time at node boundaries, LMO entry and every simplex
+pivot, which bounds the overrun to the rest of one node.  A later worker
+adopts the store's incumbent at its restarts.  A worker's exception
+propagates and no later worker runs.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,22 +30,15 @@ from .penalty import SmoothObjective
 from .presolve import convexify_binary, run_presolve
 
 
-def _worker_setups(base: Problem, config: Config) -> list[tuple[Config, Problem]]:
-    """Resolve per-worker configs: p grid with quadratic constraints,
-    ell grid for all-binary QPs, plain seed spread otherwise."""
-    setups = []
-    has_quad_cons = base.has_quadratic_constraints()
-    binary_qp = base.is_all_binary() and not has_quad_cons
-    for w in range(config.workers):
-        if has_quad_cons:
-            cfg = config.for_worker(w, p=config.p_grid[w % len(config.p_grid)])
-            setups.append((cfg, base))
-        elif binary_qp:
-            prob, _ = convexify_binary(base, config.ell_grid[w % len(config.ell_grid)])
-            setups.append((config.for_worker(w), prob))
-        else:
-            setups.append((config.for_worker(w), base))
-    return setups
+def _worker_setup(base: Problem, config: Config, w: int) -> tuple[Config, Problem]:
+    """Resolve worker w's config and problem: p grid with quadratic
+    constraints, ell grid for all-binary QPs, plain seed spread otherwise."""
+    if base.has_quadratic_constraints():
+        return config.for_worker(w, p=config.p_grid[w % len(config.p_grid)]), base
+    if base.is_all_binary():
+        prob, _ = convexify_binary(base, config.ell_grid[w % len(config.ell_grid)])
+        return config.for_worker(w), prob
+    return config.for_worker(w), base
 
 
 def merge_traces(traces: list[bnb.SolveTrace]) -> list[tuple[float, float]]:
@@ -86,25 +81,25 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
         )
         return (report, []) if return_details else report
 
-    setups = _worker_setups(presolved.problem, config)
     store = bnb.IncumbentStore()
-
-    def run_worker(cfg: Config, prob: Problem) -> bnb.SolveTrace:
-        return bnb.solve(
+    traces = []
+    for w in range(config.workers):
+        cfg, prob = _worker_setup(presolved.problem, config, w)
+        objective = SmoothObjective(prob, cfg.p)
+        left = max(config.time_limit - (time.monotonic() - origin), 0.0)
+        later = config.workers - 1 - w
+        # a 1 / (W - w) share of the time left; the last worker gets exactly the limit
+        limit = config.time_limit - left * later / (later + 1)
+        traces.append(bnb.solve(
             prob,
-            cfg,
-            objective=SmoothObjective(prob, cfg.p),
+            replace(cfg, time_limit=limit),
+            objective=objective,
             original=problem,
             uncrush=presolved.uncrush,
             repair=presolved.repair_aux,
             store=store,
             t0=origin,
-        )
-
-    with ThreadPoolExecutor(max_workers=len(setups)) as executor:
-        others = [executor.submit(run_worker, cfg, prob) for (cfg, prob) in setups[1:]]
-        first = run_worker(*setups[0])  # the calling thread is worker 0
-    traces = [first] + [future.result() for future in others]
+        ))
     merged = merge_traces(traces)
     events = [(t, sign * v) for (t, v) in merged]
     status = "feasible" if merged else "no_solution"

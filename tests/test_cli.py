@@ -150,11 +150,12 @@ class TestPortfolio:
             constraints=[QuadConstraint([(0, 0, 1.0), (1, 1, 1.0)], {}, -2.0)],
             lb=np.zeros(3), ub=np.ones(3), integrality=[VarKind.BINARY] * 3,
         )
-        from quadfw.portfolio import _worker_setups
+        from quadfw.portfolio import _worker_setup
         from quadfw.presolve import run_presolve
 
         pres = run_presolve(p)
-        setups = _worker_setups(pres.problem, Config(workers=7, time_limit=1.0))
+        config = Config(workers=7, time_limit=1.0)
+        setups = [_worker_setup(pres.problem, config, w) for w in range(7)]
         assert [cfg.p for (cfg, _) in setups] == [1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]
 
     def test_no_variables_solves_to_constant(self):
@@ -262,7 +263,7 @@ class TestPortfolio:
         assert report.events == []
         assert report.status == "no_solution"
 
-    @pytest.mark.parametrize("failing", [0, 1])  # the calling thread, a pool thread
+    @pytest.mark.parametrize("failing", [0, 1])  # the first worker, a later one
     def test_worker_exception_is_raised(self, monkeypatch, failing):
         class WorkerFailed(Exception):
             pass
@@ -278,3 +279,61 @@ class TestPortfolio:
         p = random_binary_qp(np.random.default_rng(15), 5)
         with pytest.raises(WorkerFailed):
             run_portfolio(p, Config(workers=2, time_limit=5.0, node_limit=5, seed=0))
+
+    def test_workers_run_one_after_the_other(self, monkeypatch):
+        log = []
+        solve = bnb.solve
+
+        def logged(problem, config, **kwargs):
+            if kwargs["store"] is None:  # an LNS sub-solve inside a worker
+                return solve(problem, config, **kwargs)
+            log.append(("enter", config.seed))
+            trace = solve(problem, config, **kwargs)
+            log.append(("exit", config.seed))
+            return trace
+
+        monkeypatch.setattr(bnb, "solve", logged)
+        p = random_binary_qp(np.random.default_rng(15), 5)
+        run_portfolio(p, Config(workers=2, time_limit=30.0, node_limit=5, seed=0))
+        assert log == [("enter", 0), ("exit", 0), ("enter", 1), ("exit", 1)]
+
+    def test_time_limit_shared_between_workers(self, monkeypatch):
+        started = []
+        solve = bnb.solve
+
+        def timed(problem, config, **kwargs):
+            if kwargs["store"] is not None:  # not an LNS sub-solve
+                started.append(time.monotonic() - kwargs["t0"])
+            return solve(problem, config, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve", timed)
+        p = random_binary_qp(np.random.default_rng(9), 80)  # outlives the limit
+        limit = 1.5
+        report, traces = run_portfolio(
+            p, Config(workers=2, time_limit=limit, seed=0), return_details=True
+        )
+        assert traces[0].termination == "time_limit"
+        assert all(t <= (started[0] + limit) / 2 for t, _ in traces[0].events)
+        assert traces[1].node_count >= 1
+        assert all(t <= limit for t, _ in report.events)
+
+    def test_node_limited_workers_repeat_exactly(self, monkeypatch):
+        # worker 1 restarts at node 10 behind worker 0's incumbent and adopts it
+        adopted = []
+        adopt = bnb.SolutionPool.adopt_external
+
+        def logged(pool, value, point):
+            adopted.append(value < pool.incumbent_value)
+            adopt(pool, value, point)
+
+        monkeypatch.setattr(bnb.SolutionPool, "adopt_external", logged)
+        p = random_binary_qp(np.random.default_rng(9), 20)
+        cfg = Config(workers=3, time_limit=60.0, node_limit=12, restart_interval=10, seed=0)
+
+        def run():
+            _, traces = run_portfolio(p, cfg, return_details=True)
+            return [(t.node_count, [v for _, v in t.events]) for t in traces]
+
+        first = run()
+        assert any(adopted)
+        assert run() == first

@@ -102,11 +102,6 @@ class TestRelaxedObjective:
         x = np.array([5.0])  # violates the linear row, not the penalty
         assert obj.value(x) == pytest.approx(eval_objective(p, x))
 
-    def test_scaled_weights(self):
-        con = QuadConstraint([(0, 0, 4.0)], {}, -1.0)
-        obj = SmoothObjective(make_problem(cons=[con]), p=1.5, weight_mode="scaled")
-        assert obj.weights[0] == pytest.approx(0.25)
-
     def test_eval_counters(self):
         obj = SmoothObjective(self.unit_ball_problem(), p=1.5)
         obj.value(np.array([0.0]))
