@@ -5,8 +5,9 @@ Each step compares the local pairwise gap across the active set against
 the current global gap estimate: large local gaps take a pairwise step
 (transporting weight from the away vertex to the local FW vertex),
 otherwise a vertex is obtained lazily from the cache or a fresh MIP
-call and a global FW step is taken.  The step size comes from a secant
-search on the directional derivative with a halving safeguard, so the
+call and a global FW step is taken.  The step size comes from a
+bracketed regula falsi on the derivative of the objective restricted to
+the search line, with a halving safeguard on the full objective, so the
 objective never increases even on nonconvex relaxations.
 """
 
@@ -136,30 +137,41 @@ def secant_step(phi_prime, gamma_max: float, max_iter: int = 40,
                 tol: float = 1e-10, interval_tol: float = 1e-12) -> float:
     """Approximate root of the directional derivative on [0, gamma_max].
 
-    Secant iterations start from the interval endpoints; the result is
-    clamped to [0, gamma_max].  A nonnegative derivative at 0 yields 0,
-    a nonpositive derivative at gamma_max yields gamma_max.
+    Illinois regula falsi (Dowell & Jarratt, BIT 1971): the root stays
+    bracketed by [lo, hi] with phi'(lo) < 0 < phi'(hi), and when the same
+    endpoint is replaced twice in a row the other one's value is halved,
+    so a flat side (a penalty kink) cannot stall the search.  A
+    nonnegative derivative at 0 yields 0, a nonpositive derivative at
+    gamma_max yields gamma_max.
     """
     if gamma_max <= 0:
         return 0.0
-    g0, g1 = 0.0, gamma_max
-    f0 = phi_prime(g0)
-    if f0 >= 0.0:
+    lo, hi = 0.0, gamma_max
+    f_lo = phi_prime(lo)
+    if f_lo >= 0.0:
         return 0.0
-    f1 = phi_prime(g1)
-    if f1 <= 0.0:
+    f_hi = phi_prime(hi)
+    if f_hi <= 0.0:
         return gamma_max
+    gamma, side = hi, 0
     for _ in range(max_iter):
-        if abs(f1) <= tol or abs(g1 - g0) < interval_tol:
+        gamma = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f = phi_prime(gamma)
+        if abs(f) <= tol:
             break
-        denom = f1 - f0
-        if denom == 0.0:
+        if f < 0.0:
+            lo, f_lo = gamma, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = gamma, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        if hi - lo < interval_tol:
             break
-        g2 = g1 - f1 * (g1 - g0) / denom
-        g2 = min(max(g2, 0.0), gamma_max)
-        g0, f0 = g1, f1
-        g1, f1 = g2, phi_prime(g2)
-    return min(max(g1, 0.0), gamma_max)
+    return gamma
 
 
 def _safeguarded_gamma(objective: SmoothObjective, x: np.ndarray, d: np.ndarray,
@@ -174,7 +186,7 @@ def _safeguarded_gamma(objective: SmoothObjective, x: np.ndarray, d: np.ndarray,
 
 def _line_search(objective: SmoothObjective, x: np.ndarray, d: np.ndarray,
                  gamma_max: float, f_x: float) -> float:
-    gamma = secant_step(lambda g: float(objective.gradient(x + g * d) @ d), gamma_max)
+    gamma = secant_step(objective.line_derivative(x, d), gamma_max)
     if gamma <= 0.0:
         return 0.0
     return _safeguarded_gamma(objective, x, d, gamma, f_x)

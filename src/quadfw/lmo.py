@@ -401,11 +401,16 @@ def mip_lmo(
         k = most_fractional(res.point, int_mask)
         if k is None:
             x = _snap_integers(res.point, int_mask)
-            val = float(direction @ x)
-            if val < incumbent_val:
-                incumbent = x
-                incumbent_val = val
-            continue
+            snap = np.abs(x - res.point)
+            if snap.any() and not region.contains(x):
+                # a snap within INT_TOL broke a row: branch on the largest
+                k = int(np.argmax(snap))
+            else:
+                val = float(direction @ x)
+                if val < incumbent_val:
+                    incumbent = x
+                    incumbent_val = val
+                continue
         down_ub = node_ub.copy()
         down_ub[k] = math.floor(res.point[k])
         up_lb = node_lb.copy()

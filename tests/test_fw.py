@@ -11,7 +11,7 @@ from quadfw.lmo import MipResult, Region, VertexCache
 from quadfw.model import Problem, QuadConstraint, VarKind
 from quadfw.penalty import SmoothObjective
 
-from conftest import dense_terms
+from conftest import dense_terms, random_miqcqp
 
 
 def box_region(lb, ub, integer=False):
@@ -46,6 +46,33 @@ class TestSecant:
 
     def test_zero_interval(self):
         assert secant_step(lambda g: g, 0.0) == 0.0
+
+    @pytest.mark.parametrize("a, c, k", [(0.3, 1.0, 40.0), (0.7, 66.0, 5000.0)])
+    def test_root_past_a_flat_kink(self, a, c, k):
+        # phi'(g) = -c + k sqrt(max(g - a, 0)) is flat up to the kink at a,
+        # where a penalized row with p = 1.5 turns active, and steep after it;
+        # an unbracketed secant stops early in the flat part.
+        gamma = secant_step(lambda g: -c + k * math.sqrt(max(g - a, 0.0)), 1.0)
+        assert abs(gamma - (a + (c / k) ** 2)) <= 1e-9
+
+
+class TestLineSearch:
+    def test_penalized_line_search_makes_no_gradient_call(self):
+        rng = np.random.default_rng(43)
+        active = 0
+        for _ in range(20):
+            prob = random_miqcqp(rng, 5, n_quad=3, anchored=False)
+            obj = SmoothObjective(prob, p=1.5)
+            x = rng.uniform(prob.lb - 1, prob.ub + 1)
+            d = -obj.gradient(x)
+            f_x = obj.value(x)
+            active += int(np.any(obj.constraint_values(x) > 0.0))
+            evals = obj.n_gradient_evals
+            gamma = fw._line_search(obj, x, d, 1.0, f_x)
+            assert obj.n_gradient_evals == evals
+            assert gamma > 0.0
+            assert obj.value(x + gamma * d) <= f_x
+        assert active > 0
 
 
 class TestActiveSet:

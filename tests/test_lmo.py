@@ -214,6 +214,19 @@ class TestMipLmo:
             else:
                 assert res.value == pytest.approx(expected, abs=1e-7)
 
+    @pytest.mark.parametrize("direction, value", [([0, 0, 0, 0, 0], 0.0), ([0, 0, 1, 0, 1], 1.0)])
+    def test_snapped_vertex_keeps_the_rows(self, direction, value):
+        # The root LP puts the integer x2 at 1.19e-7, within INT_TOL of 0;
+        # snapping it to 0 breaks -x2 - 1.19e-7 x4 <= -1.19e-7 by more than
+        # ROW_FEASIBILITY_TOL, so the search must branch on x2 instead.
+        eps = 1.1920929e-07
+        a = np.array([[0.0, 0.0, -1.0, 0.0, -eps]])
+        region = box(np.zeros(5), np.ones(5), [False, False, True, False, False], a, [-eps])
+        res = mip_lmo(np.array(direction, dtype=float), region)
+        assert res.status == "optimal"
+        assert region.contains(res.point, ROW_FEASIBILITY_TOL, INT_TOL)
+        assert res.value == value
+
     def test_past_deadline_without_incumbent_returns_no_point(self):
         n = 14
         rng = np.random.default_rng(5)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadfw.model import Problem, QuadConstraint, VarKind, eval_objective
+from quadfw.model import Problem, QuadConstraint, VarKind, eval_objective, terms_from_symmetric
 from quadfw.penalty import SmoothObjective, penalty_value
 
 from conftest import random_miqcqp
@@ -109,3 +111,76 @@ class TestRelaxedObjective:
         obj.value_and_gradient(np.array([0.0]))
         assert obj.n_value_evals == 2
         assert obj.n_gradient_evals == 2
+
+
+@st.composite
+def _line_case(draw):
+    """A problem with up to three nonconvex quadratic rows, a point x, a
+    direction d and the step sizes to check.  Row i is shifted to change
+    sign at a drawn step, and each such step is checked on both sides."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 3))
+    coef = st.floats(-3.0, 3.0, allow_nan=False)
+    vec = st.lists(coef, min_size=n, max_size=n)
+
+    def terms():
+        q = np.reshape(draw(st.lists(coef, min_size=n * n, max_size=n * n)), (n, n))
+        return terms_from_symmetric(q + q.T)
+
+    x = np.array(draw(vec))
+    d = np.array(draw(vec))
+    unit = st.floats(0.0, 1.0)
+    gammas = draw(st.lists(unit, min_size=1, max_size=4))
+    cons = []
+    for _ in range(m):
+        row = terms()
+        b = dict(enumerate(draw(vec)))
+        root = draw(unit)
+        at_root = x + root * d
+        g_root = sum(q * at_root[i] * at_root[j] for (i, j, q) in row)
+        g_root += sum(v * at_root[k] for k, v in b.items())
+        cons.append(QuadConstraint(row, b, -g_root))
+        step = draw(st.floats(0.01, 0.5))
+        gammas += [max(root - step, 0.0), min(root + step, 1.0)]
+    prob = make_problem(terms_obj=terms(), d=draw(vec), cons=cons, n=n)
+    return SmoothObjective(prob, p=draw(st.floats(1.2, 2.0))), x, d, gammas
+
+
+class TestLineDerivative:
+    @settings(deadline=None, max_examples=150)
+    @given(_line_case())
+    def test_matches_full_gradient_along_the_line(self, case):
+        obj, x, d, gammas = case
+        phi_prime = obj.line_derivative(x, d)
+        absd = np.abs(d)
+        for gamma in gammas:
+            y = x + gamma * d
+            # magnitudes with no cancellation, the scale of the rounding error
+            u = np.abs(x) + gamma * absd
+            g_mag = np.array([0.5 * u @ np.abs(a) @ u + np.abs(b) @ u + abs(c)
+                              for (a, b, c) in obj._cons])
+            g = obj.constraint_values(y)
+            if np.any(np.abs(g) < 1e-2 * g_mag):
+                # next to a kink g_i^(p-1) is not Lipschitz for p < 2, and
+                # the rounding of g_i decides the value on either side
+                continue
+            floor = absd @ (np.abs(obj.q_mat) @ u + np.abs(obj.d))
+            for gi, (a, b, _) in zip(g, obj._cons):
+                if gi > 0.0:
+                    floor += obj.p * gi ** (obj.p - 1.0) * absd @ (np.abs(a) @ u + np.abs(b))
+            want = float(obj.gradient(y) @ d)
+            assert abs(phi_prime(gamma) - want) <= 1e-12 * (abs(want) + floor)
+
+    def test_without_penalized_rows(self):
+        rng = np.random.default_rng(12)
+        n = 4
+        q = rng.normal(size=(n, n))
+        p = make_problem(terms_obj=terms_from_symmetric(q + q.T), d=rng.normal(size=n),
+                         cons=[QuadConstraint([], {0: 1.0, 2: -1.0}, -1.0)], n=n)
+        obj = SmoothObjective(p, p=1.5)
+        assert obj.penalized == []
+        x, d = rng.normal(size=n), rng.normal(size=n)
+        phi_prime = obj.line_derivative(x, d)
+        for gamma in np.linspace(0.0, 1.0, 11):
+            want = float(obj.gradient(x + gamma * d) @ d)
+            assert phi_prime(gamma) == pytest.approx(want, rel=1e-12, abs=1e-12)
