@@ -2,8 +2,9 @@
 """Benchmark the portfolio on randomly generated instances.
 
 Generates a mix of binary MIQPs and integer MIQCQPs, solves each with the
-parallel portfolio, scores against the brute-force oracle, writes one run
-report per instance and prints the aggregate Found / TTF / Gap / PI table.
+portfolio, whose workers run one after the other, scores against the
+brute-force oracle, writes one run report per instance and prints the
+aggregate Found / TTF / Gap / PI table.
 
     python3 scripts/random_benchmark.py --instances 20 --time-limit 5 \
         --workers 4 --out-dir reports/

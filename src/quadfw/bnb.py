@@ -44,10 +44,8 @@ class Node:
 @dataclass
 class PoolEntry:
     point: np.ndarray  # reformulated space, integers snapped
-    original_point: np.ndarray
     value: float  # original objective, internal minimization sense
     max_violation: float
-    feasible: bool
 
 
 @dataclass
@@ -60,7 +58,6 @@ class SolveTrace:
     node_count: int = 0
     restart_count: int = 0
     termination: str = ""
-    status: str = "no_solution"
 
 
 class IncumbentStore:
@@ -132,8 +129,7 @@ class SolutionPool:
         x_orig = self.uncrush(cand)
         report = check_feasibility(self.original, x_orig)
         value = eval_objective(self.original, x_orig)
-        entry = PoolEntry(cand, x_orig, value, report.max_violation, report.feasible)
-        self.entries[key] = entry
+        self.entries[key] = PoolEntry(cand, value, report.max_violation)
         if report.feasible and value < self.incumbent_value:
             now = self.clock()
             if now > self.horizon:
@@ -145,7 +141,6 @@ class SolutionPool:
             self.trace.incumbent_value = value
             self.trace.incumbent_point = x_orig
             self.trace.incumbent_reform = cand
-            self.trace.status = "feasible"
             if self.store is not None:
                 self.store.offer(value, cand)
             return True

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-``quadfw solve <path>`` runs the parallel portfolio on an instance and
-emits a JSON run report (exit code 0 when a feasible solution was found,
-2 when none was, 1 on error).  ``quadfw metrics <reports...>`` aggregates
-report files into a Found / TTF / Gap / PI table using shifted geometric
-means with shift 1.
+``quadfw solve <path>`` runs the portfolio on an instance, its workers
+one after the other, and emits a JSON run report (exit code 0 when a
+feasible solution was found, 2 when none was, 1 on error).
+``quadfw metrics <reports...>`` aggregates report files into a Found /
+TTF / Gap / PI table using shifted geometric means with shift 1.
 """
 
 from __future__ import annotations

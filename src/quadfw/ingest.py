@@ -333,16 +333,24 @@ def _read_sparse_block(
         fields = reader.require(what)
         if len(fields) < width:
             raise ParseError(f"malformed {what} entry", reader.lineno)
-        idx = tuple(int(t) for t in fields[: width - 1])
-        val = float(fields[width - 1].replace("D", "E").replace("d", "e"))
+        try:
+            idx = tuple(int(t) for t in fields[: width - 1])
+            val = float(fields[width - 1].replace("D", "E").replace("d", "e"))
+        except ValueError:
+            raise ParseError(f"bad number in {what}: '{' '.join(fields[:width])}'",
+                             reader.lineno) from None
         entries.append(idx + (val,))
     return entries
 
 
-def _read_default_block(reader: _LineReader, what: str) -> tuple[float, list[tuple[int, float]]]:
-    default = _read_float(reader, f"default {what}")
-    entries = _read_sparse_block(reader, what, 2)
-    return default, [(i, v) for (i, v) in entries]
+def _read_vector(reader: _LineReader, what: str, size: int) -> np.ndarray:
+    """A default value for all ``size`` entries, then sparse 1-based overrides."""
+    out = np.full(size, _read_float(reader, f"default {what}"))
+    for (i, v) in _read_sparse_block(reader, what, 2):
+        if not (1 <= i <= size):
+            raise ParseError(f"index {i} of {what} out of range", reader.lineno)
+        out[i - 1] = v
+    return out
 
 
 _OBJ_CODES = frozenset("LDCQ")
@@ -380,13 +388,7 @@ def parse_qplib(text: str) -> Problem:
             a, b = sorted((i - 1, j - 1))
             obj_terms.append((a, b, v / 2.0 if a == b else v))
 
-    d = np.zeros(n)
-    b0_default, b0_entries = _read_default_block(reader, "objective linear coefficients")
-    d[:] = b0_default
-    for (i, v) in b0_entries:
-        if not (1 <= i <= n):
-            raise ParseError(f"linear objective index {i} out of range", reader.lineno)
-        d[i - 1] = v
+    d = _read_vector(reader, "objective linear coefficients", n)
     c0 = _read_float(reader, "objective constant")
 
     row_terms: list[list[tuple[int, int, float]]] = [[] for _ in range(m)]
@@ -408,37 +410,10 @@ def parse_qplib(text: str) -> Problem:
     if has_rows or has_var_bounds:
         infinity = _read_float(reader, "infinity value")
 
-    cl = np.full(m, -INFINITY)
-    cu = np.full(m, INFINITY)
-    if has_rows:
-        default, entries = _read_default_block(reader, "constraint lower sides")
-        cl[:] = default
-        for (k, v) in entries:
-            if not (1 <= k <= m):
-                raise ParseError(f"constraint side index {k} out of range", reader.lineno)
-            cl[k - 1] = v
-        default, entries = _read_default_block(reader, "constraint upper sides")
-        cu[:] = default
-        for (k, v) in entries:
-            if not (1 <= k <= m):
-                raise ParseError(f"constraint side index {k} out of range", reader.lineno)
-            cu[k - 1] = v
-
-    lb = np.zeros(n)
-    ub = np.ones(n)
-    if has_var_bounds:
-        default, entries = _read_default_block(reader, "variable lower bounds")
-        lb[:] = default
-        for (j, v) in entries:
-            if not (1 <= j <= n):
-                raise ParseError(f"bound index {j} out of range", reader.lineno)
-            lb[j - 1] = v
-        default, entries = _read_default_block(reader, "variable upper bounds")
-        ub[:] = default
-        for (j, v) in entries:
-            if not (1 <= j <= n):
-                raise ParseError(f"bound index {j} out of range", reader.lineno)
-            ub[j - 1] = v
+    cl = _read_vector(reader, "constraint lower sides", m) if has_rows else np.zeros(0)
+    cu = _read_vector(reader, "constraint upper sides", m) if has_rows else np.zeros(0)
+    lb = _read_vector(reader, "variable lower bounds", n) if has_var_bounds else np.zeros(n)
+    ub = _read_vector(reader, "variable upper bounds", n) if has_var_bounds else np.ones(n)
 
     # variable kinds: uniform for C/B/I, explicit type block for M/G
     kind_by_code = {0: VarKind.CONTINUOUS, 1: VarKind.INTEGER, 2: VarKind.BINARY}

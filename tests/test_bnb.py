@@ -147,7 +147,7 @@ class TestSolve:
         p = binary_problem(1, [], [1.0],
                            cons=[QuadConstraint([], {0: 1.0}, 2.0)])  # x <= -2
         trace = solve(p, Config(workers=1, time_limit=5.0, node_limit=10))
-        assert trace.status == "no_solution"
+        assert trace.incumbent_value is None
         assert trace.termination == "root_infeasible"
 
     @pytest.mark.parametrize("late, expected", [(False, "root_infeasible"), (True, "time_limit")])
@@ -160,7 +160,7 @@ class TestSolve:
         monkeypatch.setattr(fw, "mip_lmo", no_vertex)
         p = binary_problem(2, [], [-1.0, -2.0])
         trace = solve(p, Config(workers=1, time_limit=0.5 if late else 60.0, node_limit=10))
-        assert trace.status == "no_solution"
+        assert trace.incumbent_value is None
         assert trace.termination == expected
 
     def test_node_limited_solve_ignores_the_wall_clock(self, monkeypatch):
@@ -288,7 +288,7 @@ class TestSolutionPool:
         pool, store = self.pool([1.5], horizon=1.0)
         assert not pool.submit(np.array([0.0, 1.0]))
         assert pool.trace.events == []
-        assert pool.trace.status == "no_solution"
+        assert pool.trace.incumbent_value is None
         assert pool.incumbent_point is None
         assert store.read() == (np.inf, None)
 

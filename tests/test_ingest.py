@@ -276,6 +276,19 @@ class TestQplib:
         x = np.array([1.0, 2.0, 3.0])
         assert eval_objective(p_max, x) == pytest.approx(-eval_objective(p_min, x))
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("\n2 1 -1.0\n", "\n2 x -1.0\n", 7),
+        ("\n1 1.0\n", "\n1.5 1.0\n", 10),
+        ("\n1 1.0\n", "\n3 1.0\n", 10),
+        ("\n1 2 1.0\n", "\n1 2 abc\n", 14),
+    ], ids=["objective-quadratic-index", "objective-linear-index",
+            "objective-linear-index-range", "constraint-linear-value"])
+    def test_bad_sparse_entry_names_its_line(self, old, new, line):
+        assert old in QPLIB_QBL
+        with pytest.raises(ParseError) as err:
+            parse_qplib(QPLIB_QBL.replace(old, new, 1))
+        assert err.value.line == line
+
     def test_two_sided_row_splits(self):
         # make row 1 two-sided: 0 <= g <= 4 becomes an LE pair
         text = QPLIB_QIQ.replace("-1.0E+30     ! cl default\n1\n2 1.0",

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfw.model import Problem, QuadConstraint, VarKind, eval_objective, terms_from_symmetric
-from quadfw.penalty import SmoothObjective, penalty_value
+from quadfw.model import (
+    Problem,
+    QuadConstraint,
+    VarKind,
+    eval_constraint,
+    eval_objective,
+    terms_from_symmetric,
+)
+from quadfw.penalty import SmoothObjective
 
 from conftest import random_miqcqp
 
@@ -22,19 +29,10 @@ def make_problem(terms_obj=(), d=None, cons=(), n=1, lb=-10.0, ub=10.0):
 
 
 class TestPenaltyValue:
-    def test_positive_side(self):
-        assert penalty_value(3.0, 1.5) == pytest.approx(3.0**1.5)
-
-    def test_feasible_side(self):
-        assert penalty_value(-2.0, 1.2) == 0.0
-        assert penalty_value(-2.0, 1.8) == 0.0
-
-    def test_boundary(self):
-        assert penalty_value(0.0, 1.5) == 0.0
-
     def test_exponent_must_exceed_one(self):
+        prob = make_problem(cons=[QuadConstraint([(0, 0, 1.0)], {}, -1.0)])
         with pytest.raises(ValueError):
-            penalty_value(1.0, 1.0)
+            SmoothObjective(prob, p=1.0)
 
 
 class TestRelaxedObjective:
@@ -104,6 +102,23 @@ class TestRelaxedObjective:
         x = np.array([5.0])  # violates the linear row, not the penalty
         assert obj.value(x) == pytest.approx(eval_objective(p, x))
 
+    def test_constraint_values_match_the_model(self):
+        # the dense stack against the model's compiled terms, row by row
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            prob = random_miqcqp(rng, int(rng.integers(2, 7)), n_quad=3, n_lin=1,
+                                 anchored=bool(rng.integers(2)))
+            obj = SmoothObjective(prob, p=1.5)
+            rows = [i for i, con in enumerate(prob.constraints) if con.terms]
+            assert len(rows) == len(obj.penalized) == 3
+            for _ in range(10):
+                x = rng.uniform(prob.lb - 1, prob.ub + 1)
+                got = obj.constraint_values(x)
+                u = np.abs(x)
+                for gi, i, a, b, c in zip(got, rows, obj._a, obj._b, obj._c):
+                    magnitude = 0.5 * u @ np.abs(a) @ u + np.abs(b) @ u + abs(c)
+                    assert abs(gi - eval_constraint(prob, i, x)) <= 1e-9 * magnitude
+
     def test_eval_counters(self):
         obj = SmoothObjective(self.unit_ball_problem(), p=1.5)
         obj.value(np.array([0.0]))
@@ -158,14 +173,14 @@ class TestLineDerivative:
             # magnitudes with no cancellation, the scale of the rounding error
             u = np.abs(x) + gamma * absd
             g_mag = np.array([0.5 * u @ np.abs(a) @ u + np.abs(b) @ u + abs(c)
-                              for (a, b, c) in obj._cons])
+                              for (a, b, c) in zip(obj._a, obj._b, obj._c)])
             g = obj.constraint_values(y)
             if np.any(np.abs(g) < 1e-2 * g_mag):
                 # next to a kink g_i^(p-1) is not Lipschitz for p < 2, and
                 # the rounding of g_i decides the value on either side
                 continue
             floor = absd @ (np.abs(obj.q_mat) @ u + np.abs(obj.d))
-            for gi, (a, b, _) in zip(g, obj._cons):
+            for gi, a, b in zip(g, obj._a, obj._b):
                 if gi > 0.0:
                     floor += obj.p * gi ** (obj.p - 1.0) * absd @ (np.abs(a) @ u + np.abs(b))
             want = float(obj.gradient(y) @ d)
