@@ -19,7 +19,7 @@ import numpy as np
 from . import lns
 from .config import Config
 from .fw import ActiveSet, RegionInfeasible, bpcg
-from .lmo import VertexCache, most_fractional, region_from_problem, vertex_key
+from .lmo import VertexCache, most_fractional, region_from_problem, round_integers, vertex_key
 from .model import (
     Problem,
     VarKind,
@@ -39,13 +39,6 @@ class Node:
     depth: int
     index: int
     init_direction: np.ndarray | None = None
-
-
-@dataclass
-class PoolEntry:
-    point: np.ndarray  # reformulated space, integers snapped
-    value: float  # original objective, internal minimization sense
-    max_violation: float
 
 
 @dataclass
@@ -81,8 +74,8 @@ class IncumbentStore:
 
 
 class SolutionPool:
-    """All integer-feasible candidates seen by one worker, deduplicated,
-    with original-problem objective values and feasibility reports.
+    """The integer-snapped candidates seen by one worker, deduplicated by
+    vertex key and checked against the original problem.
 
     ``clock`` returns the seconds since the run started; an incumbent
     found after ``horizon`` on that clock is refused, so every trace event
@@ -108,16 +101,17 @@ class SolutionPool:
         self.trace = trace
         self.store = store
         self.horizon = horizon
-        self.entries: dict[bytes, PoolEntry] = {}
+        self.entries: set[bytes] = set()  # vertex keys of the candidates seen
         self.incumbent_value = math.inf
         self.incumbent_point: np.ndarray | None = None  # reform space
-        self._integer_indices = np.array(problem.integer_indices(), dtype=int)
+        # least (max_violation, value) seen, feasible or not, and its candidate
+        self._best_rank = (math.inf, math.inf)
+        self._best_point: np.ndarray | None = None
+        self._int_mask = problem.integer_mask()
 
     def _snap(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=float).copy()
-        # + 0.0 maps np.round's -0.0 to 0.0, so -0.3 and 0.2 give one vertex key
-        out[self._integer_indices] = np.round(out[self._integer_indices]) + 0.0
-        return np.clip(out, self.problem.lb, self.problem.ub)
+        lb, ub = self.problem.lb, self.problem.ub
+        return np.clip(round_integers(x, self._int_mask, lb, ub), lb, ub)
 
     def submit(self, x: np.ndarray) -> bool:
         """Evaluate a candidate against the original problem; returns True
@@ -129,7 +123,10 @@ class SolutionPool:
         x_orig = self.uncrush(cand)
         report = check_feasibility(self.original, x_orig)
         value = eval_objective(self.original, x_orig)
-        self.entries[key] = PoolEntry(cand, value, report.max_violation)
+        self.entries.add(key)
+        if (report.max_violation, value) < self._best_rank:
+            self._best_rank = (report.max_violation, value)
+            self._best_point = cand
         if report.feasible and value < self.incumbent_value:
             now = self.clock()
             if now > self.horizon:
@@ -153,13 +150,11 @@ class SolutionPool:
             self.incumbent_point = point.copy()
 
     def best_reference(self) -> np.ndarray | None:
-        """Best pool entry, feasible or not (undercover reference)."""
+        """The incumbent, else the least violated candidate seen, the first
+        of the best value among equals (undercover reference)."""
         if self.incumbent_point is not None:
             return self.incumbent_point
-        if not self.entries:
-            return None
-        best = min(self.entries.values(), key=lambda e: (e.max_violation, e.value))
-        return best.point
+        return self._best_point
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +352,7 @@ def solve(
             for v in result.dropped:  # retained for children and lazification
                 cache.insert(v, region)
             x_relax = result.x
-            pool.submit(lns.standard_rounding(x_relax, problem))
+            pool.submit(round_integers(x_relax, region0.integer_mask, problem.lb, problem.ub))
 
             if run_lns and has_binaries and (
                 not has_continuous or state.node_count % 10 == 0

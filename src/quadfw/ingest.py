@@ -317,17 +317,29 @@ def _read_int(reader: _LineReader, what: str) -> int:
 def _read_float(reader: _LineReader, what: str) -> float:
     fields = reader.require(what)
     try:
-        return float(fields[0].replace("D", "E").replace("d", "e"))
+        return _qplib_float(fields[0])
     except ValueError:
         raise ParseError(f"expected {what}, got '{fields[0]}'", reader.lineno) from None
 
 
+def _qplib_float(token: str) -> float:
+    return float(token.replace("D", "E").replace("d", "e"))
+
+
+def _var_kind(token: str) -> VarKind:
+    return _KIND_BY_CODE[int(token)]
+
+
 def _read_sparse_block(
-    reader: _LineReader, what: str, width: int
+    reader: _LineReader, what: str, limits: tuple[int, ...], value=_qplib_float
 ) -> list[tuple]:
+    """A count, then that many entries of 1-based indices, each at most
+    its limit, and a value read by ``value``; a bad entry raises
+    ParseError with its own line."""
     count = _read_int(reader, f"count of {what}")
     if count < 0:
         raise ParseError(f"negative count for {what}", reader.lineno)
+    width = len(limits) + 1
     entries = []
     for _ in range(count):
         fields = reader.require(what)
@@ -335,10 +347,13 @@ def _read_sparse_block(
             raise ParseError(f"malformed {what} entry", reader.lineno)
         try:
             idx = tuple(int(t) for t in fields[: width - 1])
-            val = float(fields[width - 1].replace("D", "E").replace("d", "e"))
-        except ValueError:
+            val = value(fields[width - 1])
+        except (KeyError, ValueError):
             raise ParseError(f"bad number in {what}: '{' '.join(fields[:width])}'",
                              reader.lineno) from None
+        if not all(1 <= i <= hi for i, hi in zip(idx, limits)):
+            raise ParseError(f"index {' '.join(fields[: width - 1])} of {what} out of range",
+                             reader.lineno)
         entries.append(idx + (val,))
     return entries
 
@@ -346,15 +361,14 @@ def _read_sparse_block(
 def _read_vector(reader: _LineReader, what: str, size: int) -> np.ndarray:
     """A default value for all ``size`` entries, then sparse 1-based overrides."""
     out = np.full(size, _read_float(reader, f"default {what}"))
-    for (i, v) in _read_sparse_block(reader, what, 2):
-        if not (1 <= i <= size):
-            raise ParseError(f"index {i} of {what} out of range", reader.lineno)
+    for (i, v) in _read_sparse_block(reader, what, (size,)):
         out[i - 1] = v
     return out
 
 
 _OBJ_CODES = frozenset("LDCQ")
 _VAR_CODES = frozenset("CBMIG")
+_KIND_BY_CODE = {0: VarKind.CONTINUOUS, 1: VarKind.INTEGER, 2: VarKind.BINARY}
 _CON_CODES = frozenset("NBLDCQ")
 
 
@@ -382,9 +396,7 @@ def parse_qplib(text: str) -> Problem:
 
     obj_terms: list[tuple[int, int, float]] = []
     if obj_code != "L":
-        for (i, j, v) in _read_sparse_block(reader, "objective quadratic entries", 3):
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ParseError(f"objective entry ({i},{j}) out of range", reader.lineno)
+        for (i, j, v) in _read_sparse_block(reader, "objective quadratic entries", (n, n)):
             a, b = sorted((i - 1, j - 1))
             obj_terms.append((a, b, v / 2.0 if a == b else v))
 
@@ -394,15 +406,11 @@ def parse_qplib(text: str) -> Problem:
     row_terms: list[list[tuple[int, int, float]]] = [[] for _ in range(m)]
     row_lin: list[dict[int, float]] = [{} for _ in range(m)]
     if has_rows and con_code in ("D", "C", "Q"):
-        for (k, i, j, v) in _read_sparse_block(reader, "constraint quadratic entries", 4):
-            if not (1 <= k <= m and 1 <= i <= n and 1 <= j <= n):
-                raise ParseError("constraint quadratic entry out of range", reader.lineno)
+        for (k, i, j, v) in _read_sparse_block(reader, "constraint quadratic entries", (m, n, n)):
             a, b = sorted((i - 1, j - 1))
             row_terms[k - 1].append((a, b, v / 2.0 if a == b else v))
     if has_rows:
-        for (k, j, v) in _read_sparse_block(reader, "constraint linear entries", 3):
-            if not (1 <= k <= m and 1 <= j <= n):
-                raise ParseError("constraint linear entry out of range", reader.lineno)
+        for (k, j, v) in _read_sparse_block(reader, "constraint linear entries", (m, n)):
             row_lin[k - 1][j - 1] = row_lin[k - 1].get(j - 1, 0.0) + v
 
     has_var_bounds = var_code != "B"
@@ -416,7 +424,6 @@ def parse_qplib(text: str) -> Problem:
     ub = _read_vector(reader, "variable upper bounds", n) if has_var_bounds else np.ones(n)
 
     # variable kinds: uniform for C/B/I, explicit type block for M/G
-    kind_by_code = {0: VarKind.CONTINUOUS, 1: VarKind.INTEGER, 2: VarKind.BINARY}
     if var_code == "C":
         kinds = [VarKind.CONTINUOUS] * n
     elif var_code == "B":
@@ -425,16 +432,11 @@ def parse_qplib(text: str) -> Problem:
         kinds = [VarKind.INTEGER] * n
     else:
         default_code = _read_int(reader, "default variable type")
-        if default_code not in kind_by_code:
+        if default_code not in _KIND_BY_CODE:
             raise ParseError(f"unknown variable type code {default_code}", reader.lineno)
-        kinds = [kind_by_code[default_code]] * n
-        for (j, v) in _read_sparse_block(reader, "variable types", 2):
-            if not (1 <= j <= n):
-                raise ParseError(f"variable type index {j} out of range", reader.lineno)
-            code = int(v)
-            if code not in kind_by_code:
-                raise ParseError(f"unknown variable type code {code}", reader.lineno)
-            kinds[j - 1] = kind_by_code[code]
+        kinds = [_KIND_BY_CODE[default_code]] * n
+        for (j, kind) in _read_sparse_block(reader, "variable types", (n,), _var_kind):
+            kinds[j - 1] = kind
     # remaining blocks (starting points, names) are ignored
 
     lb = np.where(lb <= -infinity, -INFINITY, lb)

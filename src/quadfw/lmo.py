@@ -15,6 +15,10 @@ Three layers:
   pruning on the LP bound), capped at ``MIP_NODE_CAP`` nodes and stopped
   at the caller's deadline.
 
+``round_integers``, ``fix_coordinates`` and ``integral_bounds`` are the
+one integer-rounding rule (half up, clamped; bounds rounded inward) that
+every snap, fixing and integer-bound rounding in the package uses.
+
 A per-worker ``VertexCache`` stores integer vertices for lazified
 Frank-Wolfe; ``lazy_lookup`` returns a cached vertex of sufficient
 inner-product progress before paying for a fresh MIP solve.
@@ -314,6 +318,43 @@ def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -
 
 
 # ---------------------------------------------------------------------------
+# integer rounding: the one rule every snap, fixing and bound rounding uses
+# ---------------------------------------------------------------------------
+
+
+def round_integers(x: np.ndarray, int_mask: np.ndarray, lb: np.ndarray,
+                   ub: np.ndarray) -> np.ndarray:
+    """Copy of ``x`` with the masked coordinates rounded half up and
+    clamped to their bounds; the others are left as they are.  Neither
+    ``floor(x + 0.5)`` nor a bound from ``integral_bounds`` is -0.0, so
+    -0.3 and 0.2 round to one vertex key."""
+    out = np.array(x, dtype=float)
+    out[int_mask] = np.clip(np.floor(out[int_mask] + 0.5), lb[int_mask], ub[int_mask])
+    return out
+
+
+def fix_coordinates(lb: np.ndarray, ub: np.ndarray, int_mask: np.ndarray,
+                    fix: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New bounds with the ``fix`` coordinates (a mask or indices) pinned at
+    ``values``, integer coordinates rounded by ``round_integers``."""
+    pinned = np.clip(round_integers(values, int_mask, lb, ub), lb, ub)
+    lb, ub = lb.copy(), ub.copy()
+    lb[fix] = ub[fix] = pinned[fix]
+    return lb, ub
+
+
+def integral_bounds(lb: np.ndarray, ub: np.ndarray,
+                    int_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the bounds with the masked coordinates rounded inward."""
+    lb, ub = lb.copy(), ub.copy()
+    # + 0.0: np.ceil gives -0.0 on (-1, 0), and a clamp to it would carry
+    # the sign into vertex keys, so one vertex would get two
+    lb[int_mask] = np.ceil(lb[int_mask] - 1e-9) + 0.0
+    ub[int_mask] = np.floor(ub[int_mask] + 1e-9)
+    return lb, ub
+
+
+# ---------------------------------------------------------------------------
 # internal MIP
 # ---------------------------------------------------------------------------
 
@@ -327,22 +368,16 @@ class MipResult:
 
 
 def most_fractional(x: np.ndarray, int_mask: np.ndarray) -> int | None:
-    """Most fractional integer variable; ties go to the lowest index."""
-    best, best_score = None, 0.0
-    for k in np.flatnonzero(int_mask):
-        frac = x[k] - math.floor(x[k])
-        if INT_TOL < frac < 1.0 - INT_TOL:
-            score = min(frac, 1.0 - frac)
-            if score > best_score + 1e-12:
-                best_score = score
-                best = int(k)
-    return best
-
-
-def _snap_integers(x: np.ndarray, int_mask: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    out[int_mask] = np.round(out[int_mask])
-    return out
+    """Most fractional integer variable: the lowest index among the scores
+    within 1e-12 of the largest; None when every one is within INT_TOL of
+    an integer."""
+    frac = x - np.floor(x)
+    score = np.where(int_mask & (frac > INT_TOL) & (frac < 1.0 - INT_TOL),
+                     np.minimum(frac, 1.0 - frac), 0.0)
+    best = score.max(initial=0.0)
+    if best == 0.0:
+        return None
+    return int(np.argmax(score >= best - 1e-12))
 
 
 def mip_lmo(
@@ -362,10 +397,7 @@ def mip_lmo(
     """
     direction = np.asarray(direction, dtype=float)
     int_mask = region.integer_mask
-    lb = region.lb.copy()
-    ub = region.ub.copy()
-    lb[int_mask] = np.ceil(lb[int_mask] - 1e-9)
-    ub[int_mask] = np.floor(ub[int_mask] + 1e-9)
+    lb, ub = integral_bounds(region.lb, region.ub, int_mask)
     if np.any(lb > ub):
         return MipResult(None, math.inf, "infeasible")
 
@@ -400,7 +432,7 @@ def mip_lmo(
             continue
         k = most_fractional(res.point, int_mask)
         if k is None:
-            x = _snap_integers(res.point, int_mask)
+            x = round_integers(res.point, int_mask, node_lb, node_ub)
             snap = np.abs(x - res.point)
             if snap.any() and not region.contains(x):
                 # a snap within INT_TOL broke a row: branch on the largest

@@ -4,21 +4,22 @@ alternation improver.
 
 Heuristics never write incumbents directly: every candidate goes through
 the caller-supplied submit callback, which evaluates the original
-objective and constraints.  Sub-MIQCQP solves are delegated to an
-injected ``subsolve`` callable; the caller runs them without LNS, capped
-at ``SUBPROBLEM_NODE_CAP`` nodes and stopped at the run's deadline, so
-they never nest.
+objective and constraints.  Integer coordinates are rounded and fixed by
+``lmo.round_integers`` and ``lmo.fix_coordinates`` (half up, clamped to
+the bounds); standard rounding is ``round_integers`` itself.  Sub-MIQCQP
+solves are delegated to an injected ``subsolve`` callable; the caller
+runs them without LNS, capped at ``SUBPROBLEM_NODE_CAP`` nodes and
+stopped at the run's deadline, so they never nest.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fw import ActiveSet, RegionInfeasible, bpcg
-from .lmo import Region, mip_lmo, vertex_key
+from .lmo import Region, fix_coordinates, mip_lmo, round_integers, vertex_key
 from .model import Problem, VarKind
 from .penalty import SmoothObjective
 
@@ -32,18 +33,6 @@ SUBPROBLEM_NODE_CAP = 200
 # ---------------------------------------------------------------------------
 
 
-def _half_up(v: float) -> float:
-    return math.floor(v + 0.5)
-
-
-def standard_rounding(x: np.ndarray, problem: Problem) -> np.ndarray:
-    """Round integer coordinates half-up and clamp to bounds."""
-    out = np.asarray(x, dtype=float).copy()
-    for k in problem.integer_indices():
-        out[k] = min(max(_half_up(out[k]), problem.lb[k]), problem.ub[k])
-    return out
-
-
 def probability_rounding(
     x: np.ndarray,
     problem: Problem,
@@ -55,28 +44,25 @@ def probability_rounding(
     fw_iter: int = 50,
     deadline: float | None = None,
 ) -> list[np.ndarray]:
-    """Randomized fixing of binaries with probability x_k, followed by a
-    short box-constrained FW solve for any remaining continuous part."""
-    binaries = [k for k, kind in enumerate(problem.integrality) if kind is VarKind.BINARY]
-    if not binaries:
+    """Randomized fixing of binaries with probability x_k (other integers
+    rounded), followed by a short box-constrained FW solve for any
+    remaining continuous part."""
+    binary = np.array([kind is VarKind.BINARY for kind in problem.integrality], dtype=bool)
+    if not binary.any():
         return []
+    x = np.asarray(x, dtype=float)
     lb, ub = box if box is not None else (problem.lb, problem.ub)
-    continuous = [k for k, kind in enumerate(problem.integrality)
-                  if kind is VarKind.CONTINUOUS]
+    int_mask = problem.integer_mask()
+    has_continuous = not int_mask.all()
+    prob = np.clip(x[binary], 0.0, 1.0)
+    rounded = round_integers(x, int_mask & ~binary, problem.lb, problem.ub)
     candidates = []
     for _ in range(trials):
-        cand = np.asarray(x, dtype=float).copy()
-        for k in binaries:
-            prob = min(max(x[k], 0.0), 1.0)
-            cand[k] = 1.0 if rng.random() < prob else 0.0
-            cand[k] = min(max(cand[k], problem.lb[k]), problem.ub[k])
-        for k in problem.integer_indices():
-            if k not in binaries:
-                cand[k] = min(max(_half_up(x[k]), problem.lb[k]), problem.ub[k])
-        if continuous and objective is not None:
-            sub_lb, sub_ub = lb.copy(), ub.copy()
-            for k in problem.integer_indices():
-                sub_lb[k] = sub_ub[k] = cand[k]
+        cand = rounded.copy()
+        draw = np.where(rng.random(len(prob)) < prob, 1.0, 0.0)
+        cand[binary] = np.clip(draw, problem.lb[binary], problem.ub[binary])
+        if has_continuous and objective is not None:
+            sub_lb, sub_ub = fix_coordinates(lb, ub, int_mask, int_mask, cand)
             try:
                 res = bpcg(objective, Region(sub_lb, sub_ub), max_iter=fw_iter,
                            eps=1e-6, deadline=deadline)
@@ -160,21 +146,15 @@ def asens(
     agree = np.all(np.abs(V - ref) <= AGREEMENT_TOL, axis=0)
     if not _strict_majority(int(agree.sum()), problem.n):
         return None
-    lb, ub = problem.lb.copy(), problem.ub.copy()
+    int_mask = problem.integer_mask()
+    lb, ub = fix_coordinates(problem.lb, problem.ub, int_mask, agree, ref)
+    # the others shrink to the active set's range, integers rounded outward
     lo, hi = V.min(axis=0), V.max(axis=0)
-    for k in range(problem.n):
-        integral = problem.integrality[k] is not VarKind.CONTINUOUS
-        if agree[k]:
-            val = _half_up(ref[k]) if integral else float(ref[k])
-            val = min(max(val, lb[k]), ub[k])
-            lb[k] = ub[k] = val
-        else:
-            new_lo, new_hi = float(lo[k]), float(hi[k])
-            if integral:
-                new_lo = math.floor(new_lo + 1e-9)
-                new_hi = math.ceil(new_hi - 1e-9)
-            lb[k] = max(lb[k], new_lo)
-            ub[k] = min(ub[k], new_hi)
+    lo = np.where(int_mask, np.floor(lo + 1e-9), lo)
+    hi = np.where(int_mask, np.ceil(hi - 1e-9), hi)
+    free = ~agree
+    lb[free] = np.maximum(lb[free], lo[free])
+    ub[free] = np.minimum(ub[free], hi[free])
     if np.any(lb > ub):
         return None
     return subsolve(replace(problem, lb=lb, ub=ub))
@@ -191,13 +171,7 @@ def rins(
     agree = np.abs(np.asarray(incumbent) - np.asarray(x_relax)) <= AGREEMENT_TOL
     if not _strict_majority(int(agree.sum()), problem.n):
         return None
-    lb, ub = problem.lb.copy(), problem.ub.copy()
-    for k in np.flatnonzero(agree):
-        val = incumbent[k]
-        if problem.integrality[k] is not VarKind.CONTINUOUS:
-            val = _half_up(val)
-        val = min(max(val, lb[k]), ub[k])
-        lb[k] = ub[k] = val
+    lb, ub = fix_coordinates(problem.lb, problem.ub, problem.integer_mask(), agree, incumbent)
     return subsolve(replace(problem, lb=lb, ub=ub))
 
 
@@ -287,15 +261,9 @@ def undercover(
     graph = NonlinearityGraph.from_problem(problem)
     cover = minimum_vertex_cover(graph, deadline=deadline)
 
-    lb, ub = problem.lb.copy(), problem.ub.copy()
-    fixed_vals: dict[int, float] = {}
-    for k in sorted(cover):
-        val = float(reference[k])
-        if problem.integrality[k] is not VarKind.CONTINUOUS:
-            val = _half_up(val)
-        val = min(max(val, lb[k]), ub[k])
-        lb[k] = ub[k] = val
-        fixed_vals[k] = val
+    fixed = np.array(sorted(cover), dtype=int)
+    lb, ub = fix_coordinates(problem.lb, problem.ub, problem.integer_mask(), fixed, reference)
+    fixed_vals = {int(k): float(lb[k]) for k in fixed}
 
     # substitute fixed endpoints: each quadratic term becomes linear
     def linearize(terms, base: np.ndarray) -> np.ndarray | None:

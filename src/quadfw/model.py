@@ -136,7 +136,7 @@ class Problem:
     # -- structure helpers -------------------------------------------------
 
     def integer_mask(self) -> np.ndarray:
-        return np.array([k is not VarKind.CONTINUOUS for k in self.integrality])
+        return np.array([k is not VarKind.CONTINUOUS for k in self.integrality], dtype=bool)
 
     def integer_indices(self) -> list[int]:
         return [k for k, kind in enumerate(self.integrality) if kind is not VarKind.CONTINUOUS]

@@ -66,7 +66,7 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
     in original space) are returned alongside the report.
     """
     origin = time.monotonic()
-    presolved = run_presolve(problem)
+    presolved = run_presolve(problem, deadline=origin + config.time_limit)
     sign = -1.0 if problem.sense_flag == "MAX" else 1.0
     if presolved.status == "infeasible":
         report = build_report(

@@ -12,10 +12,12 @@ problem as parsed.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .lmo import integral_bounds, round_integers
 from .model import (
     INFINITY,
     Problem,
@@ -31,6 +33,8 @@ from .model import (
 
 ARTIFICIAL_BOUND = 1.0e5
 _FEAS_EPS = 1e-9
+# passes of bound propagation over the linear rows
+PROPAGATION_ROUNDS = 10
 
 
 class PresolveError(ValueError):
@@ -68,8 +72,10 @@ class PresolveResult:
 
     def repair_aux(self, x: np.ndarray) -> np.ndarray:
         """Set complementarity binaries consistently with their pair so
-        externally produced candidates satisfy the indicator rows."""
+        externally produced candidates satisfy the indicator rows; a
+        binary whose pair is all zero is rounded."""
         out = np.asarray(x, dtype=float).copy()
+        undecided = np.zeros(len(out), dtype=bool)
         for rec in self.transforms:
             if rec.get("kind") != "complementarity":
                 continue
@@ -79,8 +85,8 @@ class PresolveResult:
             elif out[i] > 1e-9:
                 out[z] = 1.0
             else:
-                out[z] = min(max(round(out[z]), 0.0), 1.0)
-        return out
+                undecided[z] = True
+        return round_integers(out, undecided, self.problem.lb, self.problem.ub)
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +95,19 @@ class PresolveResult:
 
 
 def propagate_bounds(
-    problem: Problem, max_rounds: int = 10
+    problem: Problem, deadline: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Activity-based bound strengthening over the linear constraints.
 
     Returns tightened ``(lb, ub, status)`` with status ``"ok"`` or
     ``"infeasible"``.  Integer bounds are rounded inward.  Quadratic
-    constraints are not propagated.
+    constraints are not propagated.  At most ``PROPAGATION_ROUNDS``
+    passes run, and after the first none starts once ``deadline`` (a
+    ``time.monotonic()`` reading) has passed; the bounds after each pass
+    are valid.
     """
-    lb = problem.lb.copy()
-    ub = problem.ub.copy()
+    int_mask = problem.integer_mask()
+    lb, ub = integral_bounds(problem.lb, problem.ub, int_mask)
     rows = []  # (variable indices, coefficients, beta) of each row a'x <= beta
     for i in problem.linear_constraint_indices():
         con = problem.constraints[i]
@@ -107,17 +116,7 @@ def propagate_bounds(
             coef = np.fromiter(con.b.values(), dtype=float, count=len(con.b))
             rows.append((idx, coef, -con.c))
 
-    def round_inward(k: int) -> None:
-        if problem.integrality[k] is not VarKind.CONTINUOUS:
-            if math.isfinite(ub[k]):
-                ub[k] = math.floor(ub[k] + _FEAS_EPS)
-            if math.isfinite(lb[k]):
-                lb[k] = math.ceil(lb[k] - _FEAS_EPS)
-
-    for k in range(problem.n):
-        round_inward(k)
-
-    for _ in range(max_rounds):
+    for _ in range(PROPAGATION_ROUNDS):
         changed = False
         for idx, coef, beta in rows:
             # x_k's own contribution uses the bound its tightening leaves
@@ -135,20 +134,16 @@ def propagate_bounds(
             limit = (beta - rest) / coef
             tighten = usable & np.where(up, limit < ub[idx] - _FEAS_EPS,
                                         limit > lb[idx] + _FEAS_EPS)
-            for pos in np.flatnonzero(tighten):
-                k = int(idx[pos])
-                if up[pos]:
-                    ub[k] = limit[pos]
-                else:
-                    lb[k] = limit[pos]
-                round_inward(k)
+            if tighten.any():
+                k = idx[tighten]
+                lb[k], ub[k] = integral_bounds(np.where(up, lb[idx], limit)[tighten],
+                                               np.where(up, limit, ub[idx])[tighten],
+                                               int_mask[k])
                 changed = True
         if np.any(lb > ub + _FEAS_EPS):
             return lb, ub, "infeasible"
-        if not changed:
+        if not changed or (deadline is not None and time.monotonic() > deadline):
             break
-    if np.any(lb > ub + _FEAS_EPS):
-        return lb, ub, "infeasible"
     return lb, ub, "ok"
 
 
@@ -395,16 +390,17 @@ def convexify_binary(problem: Problem, ell: float) -> tuple[Problem, float]:
 # ---------------------------------------------------------------------------
 
 
-def run_presolve(problem: Problem, max_rounds: int = 10) -> PresolveResult:
-    """Propagate bounds, apply structural reformulations, finalize bounds.
+def run_presolve(problem: Problem, deadline: float | None = None) -> PresolveResult:
+    """Propagate bounds (stopped between passes at ``deadline``), apply
+    structural reformulations, finalize bounds.
 
     Any EQ constraint not consumed by the complementarity transform is
     split into an LE pair so the penalty relaxation applies; remaining
     infinite bounds become artificial bounds of +-1e5 (flagged).
     """
     n_original = problem.n
-    lb, ub, status = propagate_bounds(problem, max_rounds)
-    transforms: list[dict] = [{"kind": "propagate", "rounds": max_rounds}]
+    lb, ub, status = propagate_bounds(problem, deadline)
+    transforms: list[dict] = [{"kind": "propagate"}]
     if status == "infeasible":
         return PresolveResult(problem=problem, status="infeasible",
                               transforms=transforms, n_original=n_original,

@@ -47,6 +47,30 @@ class TestSelectBranching:
 
     def test_tie_goes_to_lowest_index(self):
         assert most_fractional(np.array([0.5, 0.5]), np.array([True, True])) == 0
+        assert most_fractional(np.array([0.1, 0.6, 2.4]), np.ones(3, dtype=bool)) == 1
+
+    def test_matches_a_scalar_scan_without_near_ties(self):
+        # on a 1/8 lattice two scores tie exactly or differ by 1/8, where
+        # the vectorized rule and a scan that keeps the first best agree
+        def scan(x, mask):
+            best, best_score = None, 0.0
+            for k in np.flatnonzero(mask):
+                frac = x[k] - math.floor(x[k])
+                if 1e-6 < frac < 1.0 - 1e-6 and min(frac, 1.0 - frac) > best_score + 1e-12:
+                    best, best_score = int(k), min(frac, 1.0 - frac)
+            return best
+
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(0, 9))
+            x = rng.integers(-16, 17, size=n) / 8.0
+            mask = rng.random(n) < 0.7
+            assert most_fractional(x, mask) == scan(x, mask)
+
+    def test_near_tie_goes_to_lowest_index_within_1e12_of_the_largest(self):
+        # a scan keeping the first score 1e-12 above the best so far gave 2
+        x = np.array([0.3, 0.3 + 0.6e-12, 0.3 + 1.2e-12])
+        assert most_fractional(x, np.ones(3, dtype=bool)) == 1
 
 
 class TestBranch:

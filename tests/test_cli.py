@@ -242,9 +242,9 @@ class TestPortfolio:
     def slow_presolve(monkeypatch, seconds):
         presolve = portfolio.run_presolve
 
-        def slow(problem):
+        def slow(problem, **kwargs):
             time.sleep(seconds)
-            return presolve(problem)
+            return presolve(problem, **kwargs)
 
         monkeypatch.setattr(portfolio, "run_presolve", slow)
 

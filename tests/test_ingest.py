@@ -281,13 +281,23 @@ class TestQplib:
         ("\n1 1.0\n", "\n1.5 1.0\n", 10),
         ("\n1 1.0\n", "\n3 1.0\n", 10),
         ("\n1 2 1.0\n", "\n1 2 abc\n", 14),
+        ("\n1\n1 1.0\n", "\n2\n9 1.0\n2 1.0\n", 10),
+        ("\n1 2 1.0\n", "\n1 3 1.0\n", 14),
     ], ids=["objective-quadratic-index", "objective-linear-index",
-            "objective-linear-index-range", "constraint-linear-value"])
+            "objective-linear-index-range", "constraint-linear-value",
+            "range-checked-on-its-own-line", "constraint-linear-index-range"])
     def test_bad_sparse_entry_names_its_line(self, old, new, line):
         assert old in QPLIB_QBL
         with pytest.raises(ParseError) as err:
             parse_qplib(QPLIB_QBL.replace(old, new, 1))
         assert err.value.line == line
+
+    @pytest.mark.parametrize("code", ["1.7", "1.0", "3", "x"])
+    def test_bad_variable_type_code_names_its_line(self, code):
+        assert QPLIB_LGB.endswith("\n1\n1 1\n")
+        with pytest.raises(ParseError) as err:
+            parse_qplib(QPLIB_LGB[: -len("1 1\n")] + f"1 {code}\n")
+        assert err.value.line == 18
 
     def test_two_sided_row_splits(self):
         # make row 1 two-sided: 0 <= g <= 4 becomes an LE pair

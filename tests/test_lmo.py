@@ -16,8 +16,11 @@ from quadfw.lmo import (
     Region,
     VertexCache,
     box_lmo,
+    fix_coordinates,
+    integral_bounds,
     lazy_lookup,
     mip_lmo,
+    round_integers,
     solve_lp,
 )
 from quadfw.model import Problem, VarKind
@@ -41,6 +44,43 @@ class TestBoxLmo:
     def test_integer_box(self):
         v = box_lmo(np.array([-1.0]), box([0], [3], integer=[True]))
         assert v[0] == 3.0
+
+
+class TestRoundingRule:
+    @pytest.mark.parametrize("value, integer, ub, want", [
+        (0.4, True, 10.0, 0.0),
+        (2.6, True, 10.0, 3.0),
+        (0.5, True, 10.0, 1.0),
+        (2.5, True, 10.0, 3.0),
+        (-0.5, True, 10.0, 0.0),
+        (-0.3, True, 10.0, 0.0),
+        (2.6, True, 2.0, 2.0),
+        (1.3, False, 5.0, 1.3),
+    ], ids=["nearest-down", "nearest-up", "half-up", "half-up-not-even", "minus-half",
+            "minus-small", "clamped", "continuous"])
+    @pytest.mark.parametrize("rule", ["round", "fix"])
+    def test_half_up_clamped(self, rule, value, integer, ub, want):
+        x = np.array([value, 7.0])
+        mask = np.array([integer, False])
+        lb, ub = np.array([-10.0, 0.0]), np.array([ub, 8.0])
+        if rule == "round":
+            got = round_integers(x, mask, lb, ub)
+            assert x[0] == value  # a copy
+        else:
+            got, got_ub = fix_coordinates(lb, ub, mask, np.array([True, False]), x)
+            assert got_ub[0] == got[0] and (got[1], got_ub[1]) == (0.0, 8.0)
+        assert got[0] == want
+        assert not np.signbit(got[0])  # -0.5 and -0.3 give +0.0, one vertex key
+        if rule == "round":
+            assert got[1] == 7.0
+
+    def test_zero_keeps_a_clear_sign_bit_inside_integral_bounds(self):
+        # np.ceil(0 - 1e-9) is -0.0; clamped to it, 0.2 and -0.3 would
+        # give a vertex key apart from the +0.0 of a branching bound
+        lb, ub = integral_bounds(np.zeros(3), np.ones(3), np.ones(3, dtype=bool))
+        assert not np.signbit(lb).any()
+        got = round_integers(np.array([0.2, -0.3, 0.0]), np.ones(3, dtype=bool), lb, ub)
+        assert not np.signbit(got).any()
 
 
 class TestSolveLp:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from quadfw.lns import (
     minimum_vertex_cover,
     probability_rounding,
     rins,
-    standard_rounding,
     undercover,
 )
 from quadfw.model import Problem, VarKind, eval_objective
@@ -28,26 +29,6 @@ def make_problem(n, kinds, lb=None, ub=None, terms=(), d=None, cons=()):
         ub=np.ones(n) if ub is None else np.asarray(ub, dtype=float),
         integrality=kinds,
     )
-
-
-class TestStandardRounding:
-    def test_nearest(self):
-        p = make_problem(2, [VarKind.INTEGER] * 2, ub=[10, 10])
-        out = standard_rounding(np.array([0.4, 2.6]), p)
-        assert np.array_equal(out, [0.0, 3.0])
-
-    def test_half_up(self):
-        p = make_problem(1, [VarKind.INTEGER], ub=[10])
-        assert standard_rounding(np.array([0.5]), p)[0] == 1.0
-
-    def test_clamped(self):
-        p = make_problem(1, [VarKind.INTEGER], ub=[2])
-        assert standard_rounding(np.array([2.6]), p)[0] == 2.0
-
-    def test_continuous_untouched(self):
-        p = make_problem(2, [VarKind.CONTINUOUS, VarKind.INTEGER], ub=[5, 5])
-        out = standard_rounding(np.array([1.3, 1.3]), p)
-        assert out[0] == 1.3 and out[1] == 1.0
 
 
 class TestProbabilityRounding:
@@ -75,6 +56,33 @@ class TestProbabilityRounding:
         for cand in cands:
             assert cand[0] == 1.0
             assert cand[1] == pytest.approx(0.5, abs=1e-3)
+
+    def test_matches_a_scalar_reference_loop(self):
+        # one draw per binary and trial, in index order; general integers
+        # half up, both clamped to the bounds; continuous values kept
+        kinds = [VarKind.BINARY, VarKind.INTEGER, VarKind.CONTINUOUS,
+                 VarKind.BINARY, VarKind.INTEGER, VarKind.BINARY]
+        p = make_problem(6, kinds, lb=[0, -3, -1, 0, 0, 1], ub=[1, 3, 1, 1, 2, 1])
+        x = np.array([0.3, -1.5, 0.25, 0.8, 2.5, 0.6])
+
+        def reference(rng):
+            out = []
+            for _ in range(7):
+                cand = x.copy()
+                for k in (0, 3, 5):
+                    bit = 1.0 if rng.random() < min(max(x[k], 0.0), 1.0) else 0.0
+                    cand[k] = min(max(bit, p.lb[k]), p.ub[k])
+                for k in (1, 4):
+                    cand[k] = min(max(math.floor(x[k] + 0.5), p.lb[k]), p.ub[k])
+                out.append(cand)
+            return out
+
+        for seed in range(5):
+            got = probability_rounding(x, p, trials=7, rng=np.random.default_rng(seed))
+            want = reference(np.random.default_rng(seed))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
 
 class TestFollowTheGradient:

@@ -103,6 +103,33 @@ class TestPropagation:
                 assert feasible_points(new_lb, new_ub) == before
 
 
+class TestPropagationDeadline:
+    def chain(self):
+        # x_{k+1} <= x_k, rows listed last link first: each pass carries
+        # x_0 <= 3 one link further
+        n = 5
+        cons = [lin_con({k + 1: 1.0, k: -1.0}, 0.0) for k in reversed(range(n - 1))]
+        ub = np.full(n, np.inf)
+        ub[0] = 3.0
+        return Problem(n=n, terms_obj=[], d=np.zeros(n), c0=0.0, constraints=cons,
+                       lb=np.zeros(n), ub=ub, integrality=[VarKind.INTEGER] * n)
+
+    def test_no_deadline_propagates_the_whole_chain(self):
+        _, ub, status = propagate_bounds(self.chain())
+        assert status == "ok"
+        assert np.array_equal(ub, np.full(5, 3.0))
+
+    def test_past_deadline_stops_after_one_pass(self):
+        _, ub, status = propagate_bounds(self.chain(), deadline=time.monotonic() - 1.0)
+        assert status == "ok"
+        assert np.array_equal(ub, [3.0, 3.0, np.inf, np.inf, np.inf])
+
+    def test_run_presolve_passes_the_deadline(self):
+        res = run_presolve(self.chain(), deadline=time.monotonic() - 1.0)
+        # propagation stopped after one pass; artificial bounds close the rest
+        assert np.array_equal(res.problem.ub, [3.0, 3.0] + [1.0e5] * 3)
+
+
 def _per_variable_propagation(problem: Problem, max_rounds: int = 10):
     """Reference: each variable's bound from a fresh sum over the rest of
     its row, O(row length^2) per row."""
