@@ -23,21 +23,22 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = Config()
     parser = argparse.ArgumentParser(prog="quadfw")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="solve one instance with the portfolio")
     s.add_argument("path")
     s.add_argument("--format", choices=("canonical", "qplib"), default="canonical")
-    s.add_argument("--time-limit", type=float, default=300.0)
-    s.add_argument("--workers", type=int, default=8)
+    s.add_argument("--time-limit", type=float, default=defaults.time_limit)
+    s.add_argument("--workers", type=int, default=defaults.workers)
     s.add_argument("--p", type=_float_list, default=None, metavar="LIST",
                    help="comma-separated penalty exponents")
     s.add_argument("--ell", type=_float_list, default=None, metavar="LIST",
                    help="comma-separated convexification proportions")
-    s.add_argument("--fw-iter", type=int, default=10)
-    s.add_argument("--restart", type=int, default=100)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--fw-iter", type=int, default=defaults.fw_iter)
+    s.add_argument("--restart", type=int, default=defaults.restart_interval)
+    s.add_argument("--seed", type=int, default=defaults.seed)
     s.add_argument("--node-limit", type=int, default=None)
     s.add_argument("--ref", type=float, default=None,
                    help="reference objective for gap / primal integral")

@@ -7,9 +7,10 @@ built, so the oracles never see GE or EQ rows.
 Three layers:
 
 * ``box_lmo`` -- closed-form minimizer over a box (no rows),
-* ``solve_lp`` -- dense two-phase simplex with bounded variables and
-  Bland's rule as anti-cycling fallback, stopped at a pivot once its
-  stop time has passed,
+* ``solve_lp`` -- dense bounded dual simplex started at ``box_lmo``'s
+  point (dual feasible on finite bounds, so there is no phase 1), with a
+  bound-flipping ratio test and a lowest-index leaving rule as
+  anti-cycling fallback, stopped at a pivot once its stop time has passed,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
   pruning on the LP bound), capped at ``MIP_NODE_CAP`` nodes and stopped
@@ -39,6 +40,8 @@ INT_TOL = 1e-6
 _LP_TOL = 1e-9
 # nodes of one mip_lmo search; the benchmark's MIP calls take at most 125
 MIP_NODE_CAP = 1000
+# pivots of one LP before it returns status "error"
+LP_PIVOT_CAP = 20000
 
 
 @dataclass
@@ -113,7 +116,7 @@ def box_lmo(direction: np.ndarray, region: Region) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bounded-variable simplex
+# bounded dual simplex
 # ---------------------------------------------------------------------------
 
 
@@ -122,174 +125,77 @@ class LpResult:
     point: np.ndarray | None
     value: float
     status: str  # optimal | infeasible | error
-    detail: str = ""
 
 
-class _BoundedSimplex:
-    """Dense two-phase simplex over l <= x <= u, Ax = b (slacks added).
+def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray,
+                  ub: np.ndarray, stop_at: float) -> tuple[str, np.ndarray | None]:
+    """Dense bounded dual simplex for min cost'x over ``a @ x + s = b``,
+    ``lb <= x <= ub`` (finite), ``s >= 0``.
 
-    Nonbasic variables sit at a bound; the ratio test covers leaving
-    variables hitting either bound and entering-variable bound flips.
-    Dantzig pricing switches to Bland's rule after ``2 * n_total``
-    consecutive degenerate pivots.  A pivot starting after ``stop_at``
-    (a ``time.monotonic()`` reading) ends the run.
+    Starts from the slack basis with every column at the bound its cost
+    favours (``box_lmo``'s point), which is dual feasible.  Each pivot
+    sends the most violated basic variable to the bound it violates; the
+    bound-flipping ratio test walks the breakpoints ``|d_j| / |alpha_j|``
+    (lowest index on ties), flipping each column passed, until one can
+    absorb the rest of the violation and enters.  After ``2 * (n + m)``
+    consecutive pivots with an entering reduced cost within ``_LP_TOL``
+    the lowest violated basic index leaves instead.  A pivot starting
+    after ``stop_at`` (a ``time.monotonic()`` reading) ends the run.
+
+    Returns ``(status, x)`` with status optimal, infeasible or error;
+    a singular basis raises ``numpy.linalg.LinAlgError``.
     """
-
-    MAX_ITER = 20000
-
-    def __init__(self, a_rows: np.ndarray, rhs: np.ndarray,
-                 cost: np.ndarray, lb: np.ndarray, ub: np.ndarray, stop_at: float):
-        m, n = a_rows.shape
-        self.m, self.n_struct = m, n
-        n_total = n + m  # structural + one slack per row
-        self.A = np.zeros((m, n_total))
-        self.A[:, :n] = a_rows
-        self.A[:, n:] = np.eye(m)
-        self.lo = np.concatenate([lb, np.zeros(m)])
-        self.hi = np.concatenate([ub, np.full(m, np.inf)])
-        self.b = rhs.astype(float)
-        self.cost = np.concatenate([cost, np.zeros(m)])
-        self.at_upper = np.zeros(n_total, dtype=bool)
-        self.basis: list[int] = []
-        self.n_art = 0
-        self.stop_at = stop_at
-
-    # -- setup ---------------------------------------------------------------
-
-    def _add_artificials(self) -> None:
-        n_total = self.A.shape[1]
-        x = np.where(self.at_upper, self.hi, self.lo)
-        resid = self.b - self.A[:, : self.n_struct] @ x[: self.n_struct]
-        art_cols = []
-        for i in range(self.m):
-            slack = self.n_struct + i
-            if resid[i] >= 0:
-                self.basis.append(slack)  # slack absorbs the residual
-            else:
-                col = np.zeros(self.m)
-                col[i] = -1.0
-                art_cols.append(col)
-                self.basis.append(n_total + len(art_cols) - 1)
-        if art_cols:
-            self.A = np.hstack([self.A, np.column_stack(art_cols)])
-            self.lo = np.concatenate([self.lo, np.zeros(len(art_cols))])
-            self.hi = np.concatenate([self.hi, np.full(len(art_cols), np.inf)])
-            self.at_upper = np.concatenate([self.at_upper, np.zeros(len(art_cols), dtype=bool)])
-            self.cost = np.concatenate([self.cost, np.zeros(len(art_cols))])
-        self.n_art = len(art_cols)
-
-    def _basic_values(self) -> np.ndarray:
-        x_fixed = np.where(self.at_upper, self.hi, self.lo)
-        x_fixed = np.where(np.isfinite(x_fixed), x_fixed, 0.0)
-        nonbasic = np.ones(self.A.shape[1], dtype=bool)
-        nonbasic[self.basis] = False
-        rhs = self.b - self.A[:, nonbasic] @ x_fixed[nonbasic]
-        B = self.A[:, self.basis]
-        return np.linalg.solve(B, rhs)
-
-    # -- core loop -----------------------------------------------------------
-
-    def _run(self, cost: np.ndarray) -> str:
-        n_total = self.A.shape[1]
-        bland_after = 2 * n_total
-        degenerate = 0
-        for _ in range(self.MAX_ITER):
-            if time.monotonic() > self.stop_at:
-                return "time_limit"
-            try:
-                B = self.A[:, self.basis]
-                x_b = self._basic_values()
-                y = np.linalg.solve(B.T, cost[self.basis])
-            except np.linalg.LinAlgError:
-                return "singular"
-            in_basis = np.zeros(n_total, dtype=bool)
-            in_basis[self.basis] = True
-            reduced = cost - y @ self.A
-            enter = -1
-            use_bland = degenerate >= bland_after
-            best = -np.inf
-            for j in range(n_total):
-                if in_basis[j] or self.lo[j] == self.hi[j]:
-                    continue
-                zj = reduced[j]
-                improving = (zj < -_LP_TOL and not self.at_upper[j]) or (
-                    zj > _LP_TOL and self.at_upper[j])
-                if not improving:
-                    continue
-                if use_bland:
-                    enter = j
-                    break
-                if abs(zj) > best + 1e-15:
-                    best = abs(zj)
-                    enter = j
-            if enter < 0:
-                return "optimal"
-
-            sigma = -1.0 if self.at_upper[enter] else 1.0
-            try:
-                w = np.linalg.solve(B, self.A[:, enter])
-            except np.linalg.LinAlgError:
-                return "singular"
-            # basic values move by -sigma * t * w
-            t_best = self.hi[enter] - self.lo[enter]  # bound flip cap
-            leave_pos, leave_to_upper = -1, False
-            for i in range(self.m):
-                step = sigma * w[i]
-                col = self.basis[i]
-                if step > _LP_TOL:
-                    limit = max(x_b[i] - self.lo[col], 0.0) / step
-                    hits_upper = False
-                elif step < -_LP_TOL and math.isfinite(self.hi[col]):
-                    limit = max(self.hi[col] - x_b[i], 0.0) / (-step)
-                    hits_upper = True
-                else:
-                    continue
-                if limit < t_best - 1e-12 or (
-                    limit < t_best + 1e-12
-                    and leave_pos >= 0
-                    and col < self.basis[leave_pos]
-                ):
-                    t_best = limit
-                    leave_pos = i
-                    leave_to_upper = hits_upper
-            if not math.isfinite(t_best):
-                return "unbounded"
-            degenerate = degenerate + 1 if t_best <= 1e-11 else 0
-            if leave_pos < 0:
-                # entering variable flips to its other bound
-                self.at_upper[enter] = not self.at_upper[enter]
-            else:
-                leaving = self.basis[leave_pos]
-                self.basis[leave_pos] = enter
-                self.at_upper[leaving] = leave_to_upper
-                self.at_upper[enter] = False
-        return "iteration_limit"
-
-    def solve(self) -> tuple[str, np.ndarray | None, str]:
-        self._add_artificials()
-        n_total_real = self.n_struct + self.m
-        if self.n_art:
-            phase1 = np.zeros(self.A.shape[1])
-            phase1[n_total_real:] = 1.0
-            status = self._run(phase1)
-            if status != "optimal":
-                return "error", None, f"phase 1 {status}"
-            x_b = self._basic_values()
-            infeas = sum(
-                abs(x_b[i]) for i in range(self.m) if self.basis[i] >= n_total_real
-            )
-            if infeas > 1e-7:
-                return "infeasible", None, ""
-            self.hi[n_total_real:] = 0.0  # pin artificials for phase 2
-        status = self._run(self.cost)
-        if status != "optimal":
-            return "error", None, f"phase 2 {status}"
-        x = np.where(self.at_upper, self.hi, self.lo)
-        x = np.where(np.isfinite(x), x, 0.0)
-        x_b = self._basic_values()
-        for i, col in enumerate(self.basis):
-            x[col] = x_b[i]
-        return "optimal", x[: self.n_struct], ""
+    m, n = a.shape
+    mat = np.hstack([a, np.eye(m)])
+    lo = np.concatenate([lb, np.zeros(m)])
+    hi = np.concatenate([ub, np.full(m, np.inf)])
+    c = np.concatenate([cost, np.zeros(m)])
+    at_upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
+    movable = lo < hi
+    basis = np.arange(n, n + m)
+    degenerate = 0
+    for _ in range(LP_PIVOT_CAP):
+        if time.monotonic() > stop_at:
+            return "error", None
+        x = np.where(at_upper, hi, lo)
+        x[basis] = 0.0
+        basic = mat[:, basis]
+        x_b = np.linalg.solve(basic, b - mat @ x)
+        below = lo[basis] - x_b
+        violation = np.maximum(below, x_b - hi[basis])
+        if violation.max() <= _LP_TOL:
+            x[basis] = x_b
+            return "optimal", x[:n]
+        if degenerate >= 2 * (n + m):
+            violated = np.flatnonzero(violation > _LP_TOL)
+            r = int(violated[np.argmin(basis[violated])])
+        else:
+            r = int(np.argmax(violation))
+        sigma = 1.0 if below[r] > 0 else -1.0  # +1: leaves at its lower bound
+        unit = np.zeros(m)
+        unit[r] = 1.0
+        y = np.linalg.solve(basic.T, c[basis])
+        rho = np.linalg.solve(basic.T, unit)
+        d = c - y @ mat
+        alpha = rho @ mat
+        # a column whose move toward its other bound repairs the row
+        toward = np.where(at_upper, -sigma, sigma) * alpha
+        nonbasic = np.ones(n + m, dtype=bool)
+        nonbasic[basis] = False
+        eligible = np.flatnonzero(nonbasic & movable & (toward < -_LP_TOL))
+        order = eligible[np.argsort(np.abs(d[eligible]) / np.abs(alpha[eligible]), kind="stable")]
+        left = violation[r] - np.cumsum(np.abs(alpha[order]) * (hi[order] - lo[order]))
+        absorbs = np.flatnonzero(left <= _LP_TOL)
+        if not len(absorbs):
+            return "infeasible", None
+        k = int(absorbs[0])
+        enter = order[k]
+        at_upper[order[:k]] ^= True
+        degenerate = degenerate + 1 if abs(d[enter]) <= _LP_TOL else 0
+        at_upper[basis[r]] = sigma < 0
+        at_upper[enter] = False
+        basis[r] = enter
+    return "error", None
 
 
 def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -> LpResult:
@@ -297,24 +203,27 @@ def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -
 
     Falls back to the coordinatewise box rule when there are no rows.  A
     simplex still running at ``stop_at`` (a ``time.monotonic()`` reading)
-    returns status ``error``.
+    returns status ``error``.  Raises ``ValueError`` on an infinite
+    bound: the dual simplex starts at a box vertex.
     """
     direction = np.asarray(direction, dtype=float)
     lb, ub = region.lb, region.ub
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+        raise ValueError("solve_lp needs finite bounds")
     if np.any(lb > ub + 1e-12):
         return LpResult(None, math.inf, "infeasible")
     if not len(region.b):
         x = box_lmo(direction, region)
         return LpResult(x, float(direction @ x), "optimal")
 
-    simplex = _BoundedSimplex(region.a, region.b, direction, lb, ub, stop_at)
-    status, x, detail = simplex.solve()
+    try:
+        status, x = _dual_simplex(region.a, region.b, direction, lb, ub, stop_at)
+    except np.linalg.LinAlgError:
+        return LpResult(None, math.inf, "error")
     if status == "optimal":
         x = np.clip(x, lb, ub)
         return LpResult(x, float(direction @ x), "optimal")
-    if status == "infeasible":
-        return LpResult(None, math.inf, "infeasible")
-    return LpResult(None, math.inf, "error", detail)
+    return LpResult(None, math.inf, status)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,11 @@ class TestSolveCommand:
                      "--p", "1.3,1.6", "--ell", "0.7,0.9",
                      "--out", str(tmp_path / "r.json")])
         assert code == 0
+        config = json.loads((tmp_path / "r.json").read_text())["config"]
+        assert config["heuristics"] == {"asens": False, "undercover": False, "rins": False,
+                                        "ftg": False, "qubo_bipartite": True}
+        assert config["p_grid"] == [1.3, 1.6]
+        assert config["ell_grid"] == [0.7, 0.9]
 
 
 class TestMetricsCommand:

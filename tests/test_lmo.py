@@ -132,16 +132,34 @@ class TestSolveLp:
         res = solve_lp(np.array([1.0]), region)
         assert res.point[0] == pytest.approx(2.0, abs=1e-9)
 
-    def test_against_scipy_on_random_lps(self):
-        rng = np.random.default_rng(12)
-        for trial in range(120):
+    @staticmethod
+    def _normal_lps(rng, trials):
+        for _ in range(trials):
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, 5))
             lb = rng.uniform(-3, 0, n)
             ub = lb + rng.uniform(0.5, 4, n)
             a_mat = rng.normal(size=(m, n))
             rhs = rng.normal(size=m) * 2
-            direction = rng.normal(size=n)
+            yield rng.normal(size=n), a_mat, rhs, lb, ub
+
+    @staticmethod
+    def _integer_lps(rng, trials):
+        # many ties among the ratios and zero reduced costs (dual
+        # degeneracy); some columns fixed
+        for _ in range(trials):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, 5))
+            lb = rng.integers(-2, 2, size=n).astype(float)
+            ub = lb + rng.integers(0, 3, size=n)
+            a_mat = rng.integers(-1, 2, size=(m, n)).astype(float)
+            rhs = rng.integers(-2, 3, size=m).astype(float)
+            yield rng.integers(-2, 3, size=n).astype(float), a_mat, rhs, lb, ub
+
+    def test_against_scipy_on_random_lps(self):
+        lps = itertools.chain(self._normal_lps(np.random.default_rng(12), 120),
+                              self._integer_lps(np.random.default_rng(13), 600))
+        for trial, (direction, a_mat, rhs, lb, ub) in enumerate(lps):
             region = box(lb, ub, a=a_mat, b=rhs)
             res = solve_lp(direction, region)
             ref = linprog(direction, A_ub=a_mat, b_ub=rhs,
@@ -155,6 +173,33 @@ class TestSolveLp:
                 assert np.all(a_mat @ res.point <= rhs + 1e-7)
                 assert np.all(res.point >= lb - 1e-9)
                 assert np.all(res.point <= ub + 1e-9)
+
+    def test_bound_flips_repair_a_row_in_one_pivot(self, monkeypatch):
+        # sum(x) <= 50 over 200 unit columns, costs -1..-200: the start puts
+        # every column at 1; one pivot flips the columns of cost -1..-149
+        # to 0 and the one of cost -150 enters at 0, so the LP costs one
+        # solve for the start, two for the pivot and one to see that it is
+        # optimal
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        n = 200
+        region = box(np.zeros(n), np.ones(n), a=np.ones((1, n)), b=[50.0])
+        res = solve_lp(-np.arange(1.0, n + 1), region)
+        assert res.status == "optimal"
+        assert res.value == -8775.0
+        assert len(calls) <= 4
+
+    def test_infinite_bound_raises(self):
+        # min x subject to x <= 1 over x >= -inf is unbounded below
+        region = box([-np.inf], [5.0], a=[[1.0]], b=[1.0])
+        with pytest.raises(ValueError):
+            solve_lp(np.array([1.0]), region)
 
     def test_degenerate_lp_terminates(self):
         # many redundant rows through one vertex (classic cycling bait)
