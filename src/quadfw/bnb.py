@@ -288,7 +288,19 @@ def solve(
         and original.n == problem.n
     )
 
+    # Every sub-problem is ``replace(problem, lb=..., ub=...)``, and the
+    # nested solve reads nothing else that changes within this call
+    # (config and seed, objective, original, uncrush, repair and t0 are
+    # fixed), so under its node limit it is a pure function of the bounds;
+    # under the deadline a repeat would only have less time.  Each distinct
+    # pair of bounds is therefore solved once per call, across restarts.
+    solved: dict[tuple[bytes, bytes], np.ndarray | None] = {}
+
     def subsolve(sub_problem: Problem):
+        # + 0.0: bounds that differ only in the sign of a zero are one key
+        key = ((sub_problem.lb + 0.0).tobytes(), (sub_problem.ub + 0.0).tobytes())
+        if key in solved:
+            return solved[key]
         # no nested LNS; the run's t0 and time limit, so the run's deadline
         sub_config = replace(config, enable_lns=False, node_limit=lns.SUBPROBLEM_NODE_CAP)
         sub_trace = solve(
@@ -301,7 +313,8 @@ def solve(
             store=None,
             t0=t0,
         )
-        return sub_trace.incumbent_reform
+        solved[key] = sub_trace.incumbent_reform
+        return solved[key]
 
     def make_root(kind: str) -> Node:
         direction = None

@@ -9,7 +9,10 @@ objective and constraints.  Integer coordinates are rounded and fixed by
 the bounds); standard rounding is ``round_integers`` itself.  Sub-MIQCQP
 solves are delegated to an injected ``subsolve`` callable; the caller
 runs them without LNS, capped at ``SUBPROBLEM_NODE_CAP`` nodes and
-stopped at the run's deadline, so they never nest.
+stopped at the run's deadline, so they never nest.  ``subsolve`` solves
+each distinct pair of bounds once per search and may return the point
+it stored for an earlier call, so callers must not mutate what it
+returns.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from quadfw import fw
+from quadfw import bnb, fw, lns
 from quadfw.bnb import (
     IncumbentStore,
     Node,
@@ -21,6 +22,7 @@ from quadfw.fw import ActiveSet
 from quadfw.lmo import MipResult, most_fractional
 from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
 from quadfw.oracle import brute_force
+from quadfw.penalty import SmoothObjective
 from quadfw.portfolio import run_portfolio
 
 from conftest import random_binary_qp, random_miqcqp
@@ -285,6 +287,102 @@ class TestSolve:
         value, point = store.read()
         assert value == trace.incumbent_value
         assert point is not None
+
+
+def bounds_key(problem):
+    return ((problem.lb + 0.0).tobytes(), (problem.ub + 0.0).tobytes())
+
+
+class TestSubsolveReuse:
+    """``solve`` keeps the result of each LNS sub-problem by its bounds and
+    does not run the nested search again on bounds it has seen."""
+
+    def test_nested_solve_is_a_function_of_its_bounds(self):
+        # what makes the stored point exact: two node-limited sub-solves on
+        # one sub-problem with the same config, objective and t0 do the same
+        # search (fails if sub-solves come to share state, e.g. a VertexCache)
+        p = random_miqcqp(np.random.default_rng(2), 16, n_quad=3, n_lin=2)
+        ub = p.ub.copy()
+        ub[0] = p.lb[0]
+        sub = replace(p, ub=ub)
+        cfg = Config(workers=1, time_limit=60.0, seed=4, enable_lns=False, node_limit=30)
+        objective = SmoothObjective(p, cfg.p)
+        t0 = time.monotonic()
+        first = solve(sub, cfg, objective=objective, t0=t0)
+        second = solve(sub, cfg, objective=objective, t0=t0)
+        assert first.termination == second.termination == "node_limit"
+        assert first.node_count == second.node_count == 30
+        assert [v for (_, v) in first.events] == [v for (_, v) in second.events]
+        assert first.incumbent_reform is not None
+        assert first.incumbent_reform.tobytes() == second.incumbent_reform.tobytes()
+
+    @staticmethod
+    def count_nested(monkeypatch):
+        """Patch ``bnb.solve`` to record the bounds of every nested solve
+        (the only calls without a store); returns the real solve and the
+        record."""
+        real_solve, nested = bnb.solve, []
+
+        def counting_solve(problem, config, *args, **kwargs):
+            if kwargs.get("store") is None:
+                nested.append(bounds_key(problem))
+            return real_solve(problem, config, *args, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve", counting_solve)
+        return real_solve, nested
+
+    def test_each_distinct_sub_problem_is_solved_once(self, monkeypatch):
+        # all-binary: RINS fixes where the incumbent ASENS found equals the
+        # relaxation, which is the set ASENS fixed, so it asks again
+        asked, rins_points = [], []
+        real_asens, real_rins = lns.asens, lns.rins
+        real_solve, nested = self.count_nested(monkeypatch)
+
+        def recording(fn, tag):
+            def heuristic(*args):
+                *rest, subsolve = args
+
+                def recorded(sub_problem):
+                    asked.append((tag, bounds_key(sub_problem)))
+                    return subsolve(sub_problem)
+
+                out = fn(*rest, recorded)
+                if tag == "rins":
+                    rins_points.append(out)
+                return out
+            return heuristic
+
+        monkeypatch.setattr(lns, "asens", recording(real_asens, "asens"))
+        monkeypatch.setattr(lns, "rins", recording(real_rins, "rins"))
+        p = random_binary_qp(np.random.default_rng(1), 8)
+        real_solve(p, Config(workers=1, time_limit=60.0, node_limit=30, seed=1),
+                   store=IncumbentStore())
+        asens_keys = {key for tag, key in asked if tag == "asens"}
+        assert any(tag == "rins" and key in asens_keys for tag, key in asked)
+        assert sorted(nested) == sorted({key for _, key in asked})
+        assert any(point is not None for point in rins_points)
+
+    def test_bounds_differing_in_the_sign_of_a_zero_share_an_entry(self, monkeypatch):
+        points = []
+        real_solve, nested = self.count_nested(monkeypatch)
+
+        def twice(incumbent, x_relax, problem, subsolve):
+            ub = problem.ub.copy()
+            ub[0] = 0.0
+            signed_ub = ub.copy()
+            signed_ub[0] = -0.0
+            signed_lb = -problem.lb  # all -0.0
+            assert signed_lb.tobytes() != problem.lb.tobytes()
+            points.append(subsolve(replace(problem, ub=ub)))
+            points.append(subsolve(replace(problem, lb=signed_lb, ub=signed_ub)))
+            return points[-1]
+
+        monkeypatch.setattr(lns, "rins", twice)
+        p = random_binary_qp(np.random.default_rng(1), 8)
+        real_solve(p, Config(workers=1, time_limit=60.0, node_limit=1, seed=1,
+                             enable_asens=False), store=IncumbentStore())
+        assert len(points) == 2 and len(nested) == 1
+        assert points[0] is not None and points[1] is points[0]
 
 
 class TestIncumbentStore:
