@@ -11,6 +11,8 @@ Three layers:
   point (dual feasible on finite bounds, so there is no phase 1), with a
   bound-flipping ratio test and a lowest-index leaving rule as
   anti-cycling fallback, stopped at a pivot once its stop time has passed,
+  and run again on rows loosened by half the row tolerance when it finds
+  no optimum,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
   pruning on the LP bound), capped at ``MIP_NODE_CAP`` nodes and stopped
@@ -202,7 +204,9 @@ def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -
     """Minimize direction'x over the region's rows and bounds.
 
     Falls back to the coordinatewise box rule when there are no rows.  A
-    simplex still running at ``stop_at`` (a ``time.monotonic()`` reading)
+    simplex that ends infeasible or at an error is run once more on the
+    rows loosened by ``ROW_FEASIBILITY_TOL / 2``, and its verdict stands.
+    A simplex still running at ``stop_at`` (a ``time.monotonic()`` reading)
     returns status ``error``.  Raises ``ValueError`` on an infinite
     bound: the dual simplex starts at a box vertex.
     """
@@ -216,13 +220,19 @@ def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -
         x = box_lmo(direction, region)
         return LpResult(x, float(direction @ x), "optimal")
 
-    try:
-        status, x = _dual_simplex(region.a, region.b, direction, lb, ub, stop_at)
-    except np.linalg.LinAlgError:
-        return LpResult(None, math.inf, "error")
-    if status == "optimal":
-        x = np.clip(x, lb, ub)
-        return LpResult(x, float(direction @ x), "optimal")
+    # A region met only to rounding (rows tight at their one common point,
+    # a coefficient near the pivot tolerance) can end the simplex
+    # infeasible or at an error.  Such an LP is solved once more with every
+    # row loosened by half of ROW_FEASIBILITY_TOL; what that finds is
+    # still a member of the region.
+    for loosen in (0.0, 0.5 * ROW_FEASIBILITY_TOL):
+        try:
+            status, x = _dual_simplex(region.a, region.b + loosen, direction, lb, ub, stop_at)
+        except np.linalg.LinAlgError:
+            status = "error"
+        if status == "optimal":
+            x = np.clip(x, lb, ub)
+            return LpResult(x, float(direction @ x), "optimal")
     return LpResult(None, math.inf, status)
 
 

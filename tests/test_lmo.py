@@ -97,6 +97,16 @@ class TestSolveLp:
         res = solve_lp(np.array([1.0]), box([0], [5], a=a, b=[-2.0, 1.0]))
         assert res.status == "infeasible"
 
+    def test_row_met_only_to_rounding_is_feasible(self):
+        # 1e-9 * x1 + x3 <= 0: x3 = 0 meets the row within the row
+        # tolerance for every x1, but x1's coefficient is too small to
+        # pivot on, so the row is repaired only to within 1e-9
+        region = box([0, 0, 0, 0], [1, 1, 1, 1], a=[[0.0, 1e-9, 0.0, 1.0]], b=[0.0])
+        res = solve_lp(np.array([0.0, -0.5, 0.0, -0.5]), region)
+        assert res.status == "optimal"
+        assert region.contains(res.point)
+        assert res.value == pytest.approx(-0.5, abs=1e-7)
+
     def test_stop_time_in_the_past_ends_the_simplex(self):
         region = box([0, 0], [1, 1], a=[[1.0, 1.0]], b=[1.0])
         res = solve_lp(np.array([-1.0, -1.0]), region, stop_at=time.monotonic() - 1.0)
