@@ -10,9 +10,9 @@ Three layers:
 * ``solve_lp`` -- dense bounded dual simplex started at ``box_lmo``'s
   point (dual feasible on finite bounds, so there is no phase 1), with a
   bound-flipping ratio test and a lowest-index leaving rule as
-  anti-cycling fallback, stopped at a pivot once its stop time has passed,
-  and run again on rows loosened by half the row tolerance when it finds
-  no optimum,
+  anti-cycling fallback, going on once from its basis on rows loosened
+  by half the row tolerance when that could cover a shortfall the ratio
+  test leaves, and stopped at a pivot once its stop time has passed,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
   pruning on the LP bound), capped at ``MIP_NODE_CAP`` nodes and stopped
@@ -141,8 +141,12 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     (lowest index on ties), flipping each column passed, until one can
     absorb the rest of the violation and enters.  After ``2 * (n + m)``
     consecutive pivots with an entering reduced cost within ``_LP_TOL``
-    the lowest violated basic index leaves instead.  A pivot starting
-    after ``stop_at`` (a ``time.monotonic()`` reading) ends the run.
+    the lowest violated basic index leaves instead.  A ratio test that
+    finds no column proves the LP infeasible, except once: when loosening
+    every row by ``ROW_FEASIBILITY_TOL / 2`` could cover the shortfall,
+    the run goes on from the same basis on the loosened rows.  A pivot
+    starting after ``stop_at`` (a ``time.monotonic()`` reading) ends the
+    run.
 
     Returns ``(status, x)`` with status optimal, infeasible or error;
     a singular basis raises ``numpy.linalg.LinAlgError``.
@@ -156,6 +160,7 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     movable = lo < hi
     basis = np.arange(n, n + m)
     degenerate = 0
+    loosened = False
     for _ in range(LP_PIVOT_CAP):
         if time.monotonic() > stop_at:
             return "error", None
@@ -189,7 +194,21 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
         left = violation[r] - np.cumsum(np.abs(alpha[order]) * (hi[order] - lo[order]))
         absorbs = np.flatnonzero(left <= _LP_TOL)
         if not len(absorbs):
-            return "infeasible", None
+            # A row met only to rounding (a coefficient at the pivot
+            # tolerance) can keep about _LP_TOL of violation that no
+            # eligible column may repair.  Loosening every row by half of
+            # ROW_FEASIBILITY_TOL moves this basic variable by sigma *
+            # rho.sum() times that; where this and every column that moves
+            # it the right way could cover the violation, the run goes on
+            # from this basis, dual feasible for any b, on the loosened
+            # rows.  Their points are still members of the region.
+            helps = nonbasic & movable & (toward < 0)
+            short = violation[r] - np.abs(alpha[helps]) @ (hi[helps] - lo[helps])
+            if loosened or short > 0.5 * ROW_FEASIBILITY_TOL * sigma * rho.sum():
+                return "infeasible", None
+            b = b + 0.5 * ROW_FEASIBILITY_TOL
+            loosened = True
+            continue
         k = int(absorbs[0])
         enter = order[k]
         at_upper[order[:k]] ^= True
@@ -204,9 +223,7 @@ def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -
     """Minimize direction'x over the region's rows and bounds.
 
     Falls back to the coordinatewise box rule when there are no rows.  A
-    simplex that ends infeasible or at an error is run once more on the
-    rows loosened by ``ROW_FEASIBILITY_TOL / 2``, and its verdict stands.
-    A simplex still running at ``stop_at`` (a ``time.monotonic()`` reading)
+    simplex still running at ``stop_at`` (a ``time.monotonic()`` reading)
     returns status ``error``.  Raises ``ValueError`` on an infinite
     bound: the dual simplex starts at a box vertex.
     """
@@ -220,19 +237,13 @@ def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -
         x = box_lmo(direction, region)
         return LpResult(x, float(direction @ x), "optimal")
 
-    # A region met only to rounding (rows tight at their one common point,
-    # a coefficient near the pivot tolerance) can end the simplex
-    # infeasible or at an error.  Such an LP is solved once more with every
-    # row loosened by half of ROW_FEASIBILITY_TOL; what that finds is
-    # still a member of the region.
-    for loosen in (0.0, 0.5 * ROW_FEASIBILITY_TOL):
-        try:
-            status, x = _dual_simplex(region.a, region.b + loosen, direction, lb, ub, stop_at)
-        except np.linalg.LinAlgError:
-            status = "error"
-        if status == "optimal":
-            x = np.clip(x, lb, ub)
-            return LpResult(x, float(direction @ x), "optimal")
+    try:
+        status, x = _dual_simplex(region.a, region.b, direction, lb, ub, stop_at)
+    except np.linalg.LinAlgError:
+        return LpResult(None, math.inf, "error")
+    if status == "optimal":
+        x = np.clip(x, lb, ub)
+        return LpResult(x, float(direction @ x), "optimal")
     return LpResult(None, math.inf, status)
 
 

@@ -107,6 +107,17 @@ class TestSolveLp:
         assert region.contains(res.point)
         assert res.value == pytest.approx(-0.5, abs=1e-7)
 
+    @pytest.mark.parametrize("excess, status", [(1e-8, "optimal"), (1e-6, "infeasible")])
+    def test_rows_are_loosened_by_half_the_row_tolerance_only(self, excess, status):
+        # x1 + x2 <= -excess on the unit box: a row missed by less than
+        # ROW_FEASIBILITY_TOL / 2 is met on the loosened rows, one missed
+        # by more is infeasible
+        region = box([0, 0], [1, 1], a=[[1.0, 1.0]], b=[-excess])
+        res = solve_lp(np.array([1.0, 1.0]), region)
+        assert res.status == status
+        if status == "optimal":
+            assert region.contains(res.point)
+
     def test_stop_time_in_the_past_ends_the_simplex(self):
         region = box([0, 0], [1, 1], a=[[1.0, 1.0]], b=[1.0])
         res = solve_lp(np.array([-1.0, -1.0]), region, stop_at=time.monotonic() - 1.0)
