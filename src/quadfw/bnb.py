@@ -323,6 +323,8 @@ def solve(
             seed_point = repair(pool.incumbent_point)
             if region0.contains(seed_point):
                 active = ActiveSet.from_vertex(seed_point)
+                # every other active-set vertex came from mip_lmo, which caches it
+                cache.insert(seed_point)
         if kind == "random":
             direction = rng.standard_normal(problem.n)
         return Node(problem.lb.copy(), problem.ub.copy(), active, 0,
@@ -362,8 +364,6 @@ def solve(
         if not infeasible_node:
             for v in result.vertices:
                 pool.submit(v)
-            for v in result.dropped:  # retained for children and lazification
-                cache.insert(v, region)
             x_relax = result.x
             pool.submit(round_integers(x_relax, region0.integer_mask, problem.lb, problem.ub))
 

@@ -10,6 +10,7 @@ TTF / Gap / PI table using shifted geometric means with shift 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import DEFAULT_ELL_GRID, DEFAULT_P_GRID, Config
@@ -82,7 +83,8 @@ def _solve(args: argparse.Namespace) -> int:
             status="error",
             events=[],
             config={},
-            time_limit=getattr(args, "time_limit", 0.0),
+            # the limit itself may be what Config refused
+            time_limit=args.time_limit if 0.0 <= args.time_limit < math.inf else 0.0,
             termination=str(exc),
         )
         sys.stderr.write(write_report(error_report) + "\n")

@@ -7,6 +7,7 @@ solve uses them as given."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 DEFAULT_P_GRID = (1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8)
@@ -33,6 +34,9 @@ class Config:
     enable_lns: bool = True  # master switch, off inside recursive sub-solves
 
     def __post_init__(self) -> None:
+        # NaN fails this too; an infinite limit would never end the search
+        if not 0.0 <= self.time_limit < math.inf:
+            raise ValueError("time limit must be finite and nonnegative")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
         if self.p <= 1.0 or any(p <= 1.0 for p in self.p_grid):

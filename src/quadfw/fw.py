@@ -41,7 +41,6 @@ class ActiveSet:
         self._keys = {vertex_key(v): i for i, v in enumerate(self.vertices)}
         if len(self._keys) != len(self.vertices):
             raise ValueError("duplicate vertices in active set")
-        self._x: np.ndarray | None = None
 
     @classmethod
     def from_vertex(cls, v: np.ndarray) -> "ActiveSet":
@@ -54,9 +53,7 @@ class ActiveSet:
         return ActiveSet(self.vertices, self.weights)
 
     def iterate(self) -> np.ndarray:
-        if self._x is None:
-            self._x = sum(w * v for w, v in zip(self.weights, self.vertices))
-        return self._x
+        return sum(w * v for w, v in zip(self.weights, self.vertices))
 
     def find(self, v: np.ndarray) -> int | None:
         return self._keys.get(vertex_key(v))
@@ -64,26 +61,21 @@ class ActiveSet:
     def _rebuild_index(self) -> None:
         self._keys = {vertex_key(v): i for i, v in enumerate(self.vertices)}
 
-    def _drop_zero_weights(self) -> list[np.ndarray]:
-        dropped = []
+    def _drop_zero_weights(self) -> None:
         keep = [i for i, w in enumerate(self.weights) if w > WEIGHT_TOL]
         if len(keep) != len(self.weights):
-            dropped = [self.vertices[i] for i, w in enumerate(self.weights)
-                       if w <= WEIGHT_TOL]
             self.vertices = [self.vertices[i] for i in keep]
             self.weights = [self.weights[i] for i in keep]
             self._rebuild_index()
-        return dropped
 
     def renormalize(self) -> None:
         total = sum(self.weights)
         if total <= 0:
             raise ValueError("active set weights sum to zero")
         self.weights = [w / total for w in self.weights]
-        self._x = None
 
-    def fw_step(self, v: np.ndarray, gamma: float) -> list[np.ndarray]:
-        """Blend toward vertex v with step gamma; returns dropped vertices."""
+    def fw_step(self, v: np.ndarray, gamma: float) -> None:
+        """Blend toward vertex v with step gamma."""
         self.weights = [w * (1.0 - gamma) for w in self.weights]
         idx = self.find(v)
         if idx is None:
@@ -92,17 +84,13 @@ class ActiveSet:
             self._keys[vertex_key(v)] = len(self.vertices) - 1
         else:
             self.weights[idx] += gamma
-        dropped = self._drop_zero_weights()
-        self._x = None
-        return dropped
+        self._drop_zero_weights()
 
-    def pairwise_step(self, away_idx: int, local_idx: int, gamma: float) -> list[np.ndarray]:
+    def pairwise_step(self, away_idx: int, local_idx: int, gamma: float) -> None:
         """Move weight gamma from the away vertex onto the local vertex."""
         self.weights[away_idx] -= gamma
         self.weights[local_idx] += gamma
-        dropped = self._drop_zero_weights()
-        self._x = None
-        return dropped
+        self._drop_zero_weights()
 
     def extremes(self, gradient: np.ndarray) -> tuple[int, int]:
         """Indices of the away vertex (max inner product with the gradient)
@@ -115,9 +103,6 @@ class ActiveSet:
     def validate(self, tol: float = 1e-9) -> None:
         assert all(w >= -tol for w in self.weights)
         assert abs(sum(self.weights) - 1.0) <= tol
-        x = sum(w * v for w, v in zip(self.weights, self.vertices))
-        if self._x is not None:
-            assert float(np.max(np.abs(x - self._x))) <= tol
 
 
 @dataclass
@@ -127,7 +112,6 @@ class FwResult:
     dual_gap: float
     iterations: int
     vertices: list[np.ndarray]  # vertices discovered via the LMO
-    dropped: list[np.ndarray]
     objective_trace: list[float]
     lmo_calls: int = 0
     status: str = "ok"
@@ -203,7 +187,8 @@ def bpcg(
     init_direction: np.ndarray | None = None,
 ) -> FwResult:
     """Run BPCG until the dual gap falls below eps, the iteration budget
-    is exhausted, or the deadline passes.
+    is exhausted, or the deadline passes.  Every vertex the MIP oracle
+    returns enters ``cache`` when one is given.
 
     Raises :class:`RegionInfeasible` when the LMO returns no vertex: the
     region is empty, or the MIP search stopped before finding one.  The
@@ -211,7 +196,6 @@ def bpcg(
     call.
     """
     discovered: list[np.ndarray] = []
-    dropped: list[np.ndarray] = []
     lmo_calls = 0
 
     def full_lmo(direction: np.ndarray) -> np.ndarray:
@@ -222,7 +206,7 @@ def bpcg(
             raise RegionInfeasible(f"LMO returned no vertex ({res.status})")
         discovered.append(res.point)
         if cache is not None:
-            cache.insert(res.point, region)
+            cache.insert(res.point)
         return res.point
 
     def fw_toward(v: np.ndarray) -> bool:
@@ -231,7 +215,7 @@ def bpcg(
         gamma = _line_search(objective, x, v - x, 1.0, f_x)
         if gamma <= 0.0:
             return False
-        dropped.extend(active.fw_step(v, gamma))
+        active.fw_step(v, gamma)
         x = (1.0 - gamma) * x + gamma * v
         f_x = objective.value(x)
         return True
@@ -244,7 +228,7 @@ def bpcg(
         v0 = full_lmo(init_direction)
         active = ActiveSet.from_vertex(v0)
     active.renormalize()
-    x = active.iterate().copy()
+    x = active.iterate()
     f_x = objective.value(x)
     trace = [f_x]
 
@@ -273,7 +257,7 @@ def bpcg(
             gamma_max = active.weights[away_idx]
             gamma = _line_search(objective, x, d, gamma_max, f_x)
             if gamma > 0.0:
-                dropped.extend(active.pairwise_step(away_idx, local_idx, gamma))
+                active.pairwise_step(away_idx, local_idx, gamma)
                 x = x + gamma * d
                 f_x = objective.value(x)
             else:
@@ -307,9 +291,9 @@ def bpcg(
                 v = full_lmo(grad)
                 phi = float(grad @ (x - v))
                 fw_toward(v)
-        # keep the cached iterate exact; weights drift slightly over steps
+        # keep the iterate exact; weights drift slightly over steps
         active.renormalize()
-        x = active.iterate().copy()
+        x = active.iterate()
         trace.append(f_x)
 
     return FwResult(
@@ -318,7 +302,6 @@ def bpcg(
         dual_gap=phi,
         iterations=iterations,
         vertices=discovered,
-        dropped=dropped,
         objective_trace=trace,
         lmo_calls=lmo_calls,
         status=status,

@@ -12,7 +12,8 @@ Three layers:
   bound-flipping ratio test and a lowest-index leaving rule as
   anti-cycling fallback, going on once from its basis on rows loosened
   by half the row tolerance when that could cover a shortfall the ratio
-  test leaves, and stopped at a pivot once its stop time has passed,
+  test leaves, restarted once on such rows when it revisits a basis, and
+  stopped at a pivot once its stop time has passed,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
   pruning on the LP bound), capped at ``MIP_NODE_CAP`` nodes and stopped
@@ -22,9 +23,10 @@ Three layers:
 one integer-rounding rule (half up, clamped; bounds rounded inward) that
 every snap, fixing and integer-bound rounding in the package uses.
 
-A per-worker ``VertexCache`` stores integer vertices for lazified
-Frank-Wolfe; ``lazy_lookup`` returns a cached vertex of sufficient
-inner-product progress before paying for a fresh MIP solve.
+A per-worker ``VertexCache`` stores every vertex ``mip_lmo`` returns for
+lazified Frank-Wolfe; ``lazy_lookup`` returns a cached vertex of the
+given region with sufficient inner-product progress before paying for a
+fresh MIP solve.
 """
 
 from __future__ import annotations
@@ -144,9 +146,12 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     the lowest violated basic index leaves instead.  A ratio test that
     finds no column proves the LP infeasible, except once: when loosening
     every row by ``ROW_FEASIBILITY_TOL / 2`` could cover the shortfall,
-    the run goes on from the same basis on the loosened rows.  A pivot
-    starting after ``stop_at`` (a ``time.monotonic()`` reading) ends the
-    run.
+    the run goes on from the same basis on the loosened rows.  A run that
+    comes back to a ``(basis, at_upper)`` state it has passed since ``b``
+    last changed starts again once from the slack basis on rows loosened
+    that way (no further), and returns error on a second revisit.  A
+    pivot starting after ``stop_at`` (a ``time.monotonic()`` reading)
+    ends the run.
 
     Returns ``(status, x)`` with status optimal, infeasible or error;
     a singular basis raises ``numpy.linalg.LinAlgError``.
@@ -156,14 +161,31 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     lo = np.concatenate([lb, np.zeros(m)])
     hi = np.concatenate([ub, np.full(m, np.inf)])
     c = np.concatenate([cost, np.zeros(m)])
-    at_upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
+    start_upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
+    at_upper = start_upper.copy()
     movable = lo < hi
     basis = np.arange(n, n + m)
     degenerate = 0
-    loosened = False
+    loosened = restarted = False
+    seen: set[bytes] = set()  # (basis, at_upper) states since b last changed
     for _ in range(LP_PIVOT_CAP):
         if time.monotonic() > stop_at:
             return "error", None
+        state = basis.tobytes() + at_upper.tobytes()
+        if state in seen:
+            # pivots on coefficients just above _LP_TOL can swap two bases
+            # back and forth at nonzero reduced costs, past the fallback
+            if restarted:
+                return "error", None
+            if not loosened:
+                b = b + 0.5 * ROW_FEASIBILITY_TOL
+            loosened = restarted = True
+            at_upper = start_upper.copy()
+            basis = np.arange(n, n + m)
+            degenerate = 0
+            seen.clear()
+            continue
+        seen.add(state)
         x = np.where(at_upper, hi, lo)
         x[basis] = 0.0
         basic = mat[:, basis]
@@ -208,6 +230,7 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
                 return "infeasible", None
             b = b + 0.5 * ROW_FEASIBILITY_TOL
             loosened = True
+            seen.clear()
             continue
         k = int(absorbs[0])
         enter = order[k]
@@ -400,10 +423,11 @@ def vertex_key(v: np.ndarray) -> bytes:
 
 
 class VertexCache:
-    """Deduplicated store of previously returned vertices (per worker).
+    """Deduplicated store of the vertices ``mip_lmo`` returned (per worker).
 
-    Vertices are hashed by coordinates rounded at 1e-9, validated against
-    the inserting region and kept as the rows of one matrix, oldest first.
+    Vertices are hashed by coordinates rounded at 1e-9 and kept as the
+    rows of one matrix, oldest first, unchecked: ``lazy_lookup`` serves
+    only members of the region it is given.
     """
 
     def __init__(self) -> None:
@@ -423,11 +447,8 @@ class VertexCache:
         view.flags.writeable = False
         return view
 
-    def insert(self, v: np.ndarray, region: Region) -> bool:
-        """Insert a vertex after validating region membership; returns
-        False for duplicates or vertices violating the region."""
-        if not region.contains(v, ROW_FEASIBILITY_TOL, INT_TOL):
-            return False
+    def insert(self, v: np.ndarray) -> bool:
+        """Insert a vertex; returns False when its key is already cached."""
         key = vertex_key(v)
         if key in self._keys:
             return False
@@ -447,25 +468,20 @@ def lazy_lookup(
     gradient: np.ndarray,
     x_t: np.ndarray,
     phi: float,
-    region: Region | None = None,
+    region: Region,
 ) -> np.ndarray | None:
     """Return a cached vertex v with <gradient, x_t - v> >= phi/2, or None.
 
-    The most recently cached vertex that qualifies wins.  When ``region``
-    is given, only vertices valid for it are considered (node bounds
-    tighten as the tree descends, so cached vertices from other nodes may
-    no longer apply).
+    The most recently cached vertex that qualifies wins.  Only members of
+    ``region`` (rows and bounds within ``ROW_FEASIBILITY_TOL``, integrality
+    within ``INT_TOL``) qualify: this is the cache's one region check, and
+    vertices cached at other nodes may lie outside this node's bounds.
     """
-    if phi < 0:
-        phi = 0.0
-    threshold = phi / 2.0
+    threshold = max(phi, 0.0) / 2.0
     if not len(cache):
         return None
     vertices = cache.vertices
-    if region is None:
-        valid = np.arange(len(vertices))
-    else:
-        valid = np.flatnonzero(region.members(vertices, ROW_FEASIBILITY_TOL, INT_TOL))
+    valid = np.flatnonzero(region.members(vertices, ROW_FEASIBILITY_TOL, INT_TOL))
     for k in valid[::-1]:
         v = vertices[k]
         if float(gradient @ (x_t - v)) >= threshold:

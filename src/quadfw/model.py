@@ -228,9 +228,11 @@ class _CompiledTerms:
     leading ``0.0`` is the loop's ``0`` start, which turns a ``-0.0`` first
     product into ``0.0``.
 
-    The constraint rows lie one after the other in one set of arrays, row
-    ``r`` at items ``starts[r]:starts[r + 1]``: memory grows with the
-    number of items, not with the number of rows times the longest row.
+    The constraint rows lie one after the other in one set of arrays, each
+    item tagged with its row in ``row_ids``: memory grows with the number
+    of items, not with the number of rows times the longest row.
+    ``np.bincount`` sums all rows in one pass, adding each row's items in
+    order from ``0.0``, as ``np.cumsum`` does.
     """
 
     def __init__(self, problem: "Problem") -> None:
@@ -241,7 +243,7 @@ class _CompiledTerms:
             + [(k, n, v) for k, v in con.b.items()]
             for con in problem.constraints
         ]
-        self.starts = np.cumsum([0] + [len(row) for row in rows]).tolist()
+        self.row_ids = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
         self.rows = self._arrays([item for row in rows for item in row])
         self.eq_rows = np.array([con.sense is Sense.EQ for con in problem.constraints], dtype=bool)
         self.integer_indices = np.array(problem.integer_indices(), dtype=int)
@@ -261,16 +263,8 @@ class _CompiledTerms:
     def terms_value(self, xe: np.ndarray) -> float:
         return float(np.cumsum(self._products(self.obj, xe))[-1])
 
-    def row_value(self, r: int, xe: np.ndarray) -> float:
-        items = slice(self.starts[r], self.starts[r + 1])
-        return float(np.cumsum(self._products([a[items] for a in self.rows], xe))[-1])
-
     def row_values(self, xe: np.ndarray) -> np.ndarray:
-        products = self._products(self.rows, xe)
-        return np.array(
-            [np.cumsum(products[s:e])[-1] for s, e in zip(self.starts[:-1], self.starts[1:])],
-            dtype=float,
-        )
+        return np.bincount(self.row_ids, weights=self._products(self.rows, xe))
 
 
 def _extended_point(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +297,7 @@ def eval_constraint(problem: Problem, idx: int, x: np.ndarray) -> float:
     if not (0 <= idx < len(problem.constraints)):
         raise ModelError(f"constraint index {idx} out of range")
     _, xe = _extended_point(problem, x)
-    return problem.compiled().row_value(idx, xe)
+    return float(problem.compiled().row_values(xe)[idx])
 
 
 def check_feasibility(

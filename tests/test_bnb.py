@@ -19,7 +19,7 @@ from quadfw.bnb import (
 )
 from quadfw.config import Config
 from quadfw.fw import ActiveSet
-from quadfw.lmo import MipResult, most_fractional
+from quadfw.lmo import MipResult, most_fractional, vertex_key
 from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
 from quadfw.oracle import brute_force
 from quadfw.penalty import SmoothObjective
@@ -261,6 +261,37 @@ class TestSolve:
                                 enable_lns=False))
         assert trace.node_count >= 3
         assert any(s > 0 for s in warm_sizes[1:])
+
+    def test_warm_root_puts_its_seed_in_the_cache(self, monkeypatch):
+        seeds, warm_roots = [], []
+
+        class Recording(ActiveSet):
+            @classmethod
+            def from_vertex(cls, v):
+                seeds.append(np.array(v))
+                return super().from_vertex(v)
+
+        orig = bnb.bpcg
+
+        def spy(objective, region, **kwargs):
+            warm = kwargs.get("warm")
+            keys = {vertex_key(row) for row in kwargs["cache"].vertices}
+            if warm is not None and any(np.array_equal(warm.vertices[0], s) for s in seeds):
+                warm_roots.append(warm)
+            # every vertex an active set holds is in the cache, under the
+            # cache's own identity (coordinates rounded at 1e-9)
+            for v in [] if warm is None else warm.vertices:
+                assert vertex_key(v) in keys
+            return orig(objective, region, **kwargs)
+
+        monkeypatch.setattr(bnb, "ActiveSet", Recording)
+        monkeypatch.setattr(bnb, "bpcg", spy)
+        # here an incumbent that no LMO returned seeds a warm root
+        p = random_miqcqp(np.random.default_rng(4), 8, 2, 1)
+        trace = solve(p, Config(workers=1, time_limit=60.0, node_limit=40, seed=1,
+                                restart_interval=10))
+        assert trace.restart_count == 4
+        assert warm_roots
 
     def test_qubo_improver_on_bipartite_instance(self):
         # x0 connected to x1, x2: bipartite; improver refines incumbents

@@ -86,6 +86,16 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "error" in err
 
+    @pytest.mark.parametrize("limit", ["-1", "nan", "inf"])
+    def test_invalid_time_limit_exit_code(self, tmp_path, capsys, limit):
+        inst = tmp_path / "ok.qfw"
+        inst.write_text(INSTANCE)
+        assert main(["solve", str(inst), "--workers", "1", "--time-limit", limit]) == 1
+        report = json.loads(capsys.readouterr().err, parse_constant=pytest.fail)
+        assert report["status"] == "error"
+        assert "time limit" in report["termination"]
+        assert report["metrics"]["ttf"] == 0.0
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.qfw")]) == 1
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadfw import fw
 from quadfw.fw import ActiveSet, RegionInfeasible, bpcg, secant_step
-from quadfw.lmo import MipResult, Region, VertexCache
+from quadfw.lmo import MipResult, Region, VertexCache, vertex_key
 from quadfw.model import Problem, QuadConstraint, VarKind
 from quadfw.penalty import SmoothObjective
 
@@ -90,10 +90,10 @@ class TestActiveSet:
 
     def test_drop_on_full_transfer(self):
         active = ActiveSet([np.array([0.0]), np.array([1.0])], [0.4, 0.6])
-        dropped = active.pairwise_step(0, 1, 0.4)
+        active.pairwise_step(0, 1, 0.4)
         assert len(active) == 1
-        assert len(dropped) == 1
-        assert np.array_equal(dropped[0], [0.0])
+        assert np.array_equal(active.vertices[0], [1.0])
+        assert active.find(np.array([0.0])) is None
 
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -249,6 +249,18 @@ class TestIterateStaysInRegion:
         region, obj = case
         res = bpcg(obj, region, max_iter=20, eps=1e-8, cache=VertexCache())
         assert region.contains(res.x)
+
+    @settings(deadline=None, max_examples=60)
+    @given(_row_region_case())
+    def test_every_vertex_found_or_held_is_cached(self, case):
+        region, obj = case
+        cache = VertexCache()
+        res = bpcg(obj, region, max_iter=20, eps=1e-8, cache=cache)
+        # the cache keeps one row per vertex_key: a vertex that differs from
+        # a cached one only below the key's 1e-9 rounding is that vertex
+        keys = {vertex_key(row) for row in cache.vertices}
+        for v in res.vertices + res.active_set.vertices:
+            assert vertex_key(v) in keys
 
     def test_lmo_without_vertex_never_enters_the_active_set(self, monkeypatch):
         rng = np.random.default_rng(41)

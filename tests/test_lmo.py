@@ -222,6 +222,33 @@ class TestSolveLp:
         with pytest.raises(ValueError):
             solve_lp(np.array([1.0]), region)
 
+    # Rows tight at an integer point with coefficients at 1e-9 and 1e-6.
+    # A pivot on a coefficient just above the pivot tolerance swapped two
+    # bases back and forth until LP_PIVOT_CAP (about 1.6 s) and the LP
+    # ended as an error; a revisited basis now restarts the run once on
+    # rows loosened by half the row tolerance.
+    @pytest.mark.parametrize("a, b, c, ub, value, tol", [
+        ([[-2.0123598289726474, 0.0, 0.6817846040576864, -1e-09, 0.5808353159415124],
+          [0.7815059639629106, -1e-09, 0.056783299358786246, -1e-09, 0.08787783354366746]],
+         [-4.024719660945295, 1.5630119249258212],
+         [0.6946797660761319, 0.7903053217424161, 0.0, 1.024820156679802, 0.0],
+         [3, 1, 1, 3, 1], 1.3893595321522638, 1e-7),  # c at (2, 0, 0, 0, 0)
+        ([[-0.9760347487602172, 0.0, -1.0970185978717584, -0.4942295018362534, 0.0],
+          [1e-09, -1.0565852311458173, -0.1357404383512215, 1e-06, -1e-09]],
+         [-3.170071944503734, -3.4412365691398947],
+         [-0.49102324681325665, -0.024837198635515652, 0.0, 2.1315757167979017,
+          0.02772105506930356],
+         [2, 3, 2, 2, 1], -1.0565580895330602, 1e-9),
+    ])
+    def test_basis_swap_loop_is_solved(self, a, b, c, ub, value, tol):
+        region = box(np.zeros(5), ub, a=a, b=b)
+        start = time.monotonic()
+        res = solve_lp(np.array(c), region)
+        assert time.monotonic() - start < 0.1
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(value, abs=tol)
+        assert region.contains(res.point)
+
     def test_degenerate_lp_terminates(self):
         # many redundant rows through one vertex (classic cycling bait)
         n = 4
@@ -373,14 +400,14 @@ class TestMipLmo:
 class TestVertexCache:
     def test_empty_lookup(self):
         cache = VertexCache()
-        assert lazy_lookup(cache, np.array([1.0]), np.array([0.5]), 1.0) is None
+        assert lazy_lookup(cache, np.array([1.0]), np.array([0.5]), 1.0, box([0], [1])) is None
 
     def test_returns_cached_minimizer(self):
         region = box([0, 0], [1, 1], integer=[True, True], a=[[1.0, 1.0]], b=[1.0])
         direction = np.array([-1.0, -0.5])
         res = mip_lmo(direction, region)
         cache = VertexCache()
-        assert cache.insert(res.point, region)
+        assert cache.insert(res.point)
         x_t = np.array([0.0, 0.0])
         grad = direction
         v = lazy_lookup(cache, grad, x_t, phi=0.1, region=region)
@@ -390,22 +417,25 @@ class TestVertexCache:
     def test_huge_threshold_forces_fresh_call(self):
         region = box([0, 0], [1, 1], integer=[True, True])
         cache = VertexCache()
-        cache.insert(np.array([1.0, 0.0]), region)
-        assert lazy_lookup(cache, np.array([-1.0, 0.0]), np.zeros(2), phi=1e9) is None
+        cache.insert(np.array([1.0, 0.0]))
+        assert lazy_lookup(cache, np.array([-1.0, 0.0]), np.zeros(2), phi=1e9,
+                           region=region) is None
 
-    def test_insert_validates_region(self):
+    def test_lookup_never_serves_a_non_member(self):
         region = box([0], [1], integer=[True], a=[[1.0]], b=[0.5])
         cache = VertexCache()
-        assert not cache.insert(np.array([1.0]), region)  # violates the row
-        assert not cache.insert(np.array([0.4]), region)  # fractional
-        assert cache.insert(np.array([0.0]), region)
-        assert len(cache) == 1
+        cache.insert(np.array([0.0]))
+        cache.insert(np.array([1.0]))  # violates the row
+        cache.insert(np.array([0.4]))  # fractional
+        assert len(cache) == 3
+        # both non-members would qualify and are more recent than 0
+        v = lazy_lookup(cache, np.array([-1.0]), np.zeros(1), 0.0, region=region)
+        assert np.array_equal(v, [0.0])
 
     def test_deduplication(self):
-        region = box([0], [1])
         cache = VertexCache()
-        assert cache.insert(np.array([0.5]), region)
-        assert not cache.insert(np.array([0.5 + 1e-12]), region)
+        assert cache.insert(np.array([0.5]))
+        assert not cache.insert(np.array([0.5 + 1e-12]))
 
     def test_shared_vertex_identity(self):
         # continuous variables, so pool snapping keeps the perturbation
@@ -413,15 +443,14 @@ class TestVertexCache:
             n=2, terms_obj=[], d=np.zeros(2), c0=0.0, constraints=[],
             lb=np.zeros(2), ub=np.ones(2), integrality=[VarKind.CONTINUOUS] * 2,
         )
-        region = box([0, 0], [1, 1])
         v = np.array([0.25, 0.75])
 
         def counts(offset):
             other = v + offset
             active = ActiveSet.from_vertex(v)
             cache = VertexCache()
-            cache.insert(v, region)
-            cache.insert(other, region)
+            cache.insert(v)
+            cache.insert(other)
             pool = SolutionPool(problem, problem, lambda x: x, lambda x: x,
                                 clock=lambda: 0.0, trace=SolveTrace())
             pool.submit(v)
@@ -434,17 +463,17 @@ class TestVertexCache:
     def test_scan_most_recent_first(self):
         region = box([0, 0], [1, 1])
         cache = VertexCache()
-        cache.insert(np.array([1.0, 0.0]), region)
-        cache.insert(np.array([0.0, 1.0]), region)
+        cache.insert(np.array([1.0, 0.0]))
+        cache.insert(np.array([0.0, 1.0]))
         # both meet threshold 0; most recently added wins
         grad = np.array([0.0, 0.0])
-        v = lazy_lookup(cache, grad, np.zeros(2), phi=0.0)
+        v = lazy_lookup(cache, grad, np.zeros(2), phi=0.0, region=region)
         assert np.array_equal(v, [0.0, 1.0])
 
     def test_region_filter_in_lookup(self):
         wide = box([0], [3], integer=[True])
         cache = VertexCache()
-        cache.insert(np.array([3.0]), wide)
+        cache.insert(np.array([3.0]))
         narrow = wide.with_bounds(np.array([0.0]), np.array([1.0]))
         assert lazy_lookup(cache, np.array([-1.0]), np.zeros(1), 0.0, region=narrow) is None
 
@@ -461,13 +490,13 @@ def _scalar_contains(region, x, tol=ROW_FEASIBILITY_TOL, int_tol=INT_TOL):
     return not (frac.size and frac.max() > int_tol)
 
 
-def _scalar_lookup(vertices, gradient, x_t, phi, region=None):
+def _scalar_lookup(vertices, gradient, x_t, phi, region):
     """The lookup as one membership test and one inner product per cached
     vertex, most recent first."""
     if phi < 0:
         phi = 0.0
     for v in reversed(vertices):
-        if region is not None and not _scalar_contains(region, v):
+        if not _scalar_contains(region, v):
             continue
         if float(gradient @ (x_t - v)) >= phi / 2.0:
             return v
@@ -506,14 +535,11 @@ class TestLazyLookupMatchesScalarScan:
     @given(_lookup_case())
     def test_same_vertex(self, case):
         vertices, gradient, x_t, phi, region = case
-        n = len(gradient)
-        wide = box(-10 * np.ones(n), 10 * np.ones(n))
         cache = VertexCache()
-        inserted = [v for v in vertices if cache.insert(v, wide)]
-        for reg in (region, None):
-            got = lazy_lookup(cache, gradient, x_t, phi, region=reg)
-            want = _scalar_lookup(inserted, gradient, x_t, phi, region=reg)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and got.tobytes() == want.tobytes()
+        inserted = [v for v in vertices if cache.insert(v)]
+        got = lazy_lookup(cache, gradient, x_t, phi, region=region)
+        want = _scalar_lookup(inserted, gradient, x_t, phi, region)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.tobytes() == want.tobytes()
