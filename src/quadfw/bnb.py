@@ -102,6 +102,7 @@ class SolutionPool:
         self.store = store
         self.horizon = horizon
         self.entries: set[bytes] = set()  # vertex keys of the candidates seen
+        self._submitted: set[bytes] = set()  # bytes of every x submitted
         self.incumbent_value = math.inf
         self.incumbent_point: np.ndarray | None = None  # reform space
         # least (max_violation, value) seen, feasible or not, and its candidate
@@ -115,7 +116,16 @@ class SolutionPool:
 
     def submit(self, x: np.ndarray) -> bool:
         """Evaluate a candidate against the original problem; returns True
-        when it becomes the new incumbent."""
+        when it becomes the new incumbent.
+
+        The snapped and repaired candidate is evaluated once per vertex
+        key; an ``x`` whose bytes were submitted before returns False at
+        once, as its key is already seen.
+        """
+        raw = np.asarray(x, dtype=float).tobytes()
+        if raw in self._submitted:
+            return False
+        self._submitted.add(raw)
         cand = self.repair(self._snap(x))
         key = vertex_key(cand)
         if key in self.entries:

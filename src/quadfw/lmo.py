@@ -8,16 +8,19 @@ Three layers:
 
 * ``box_lmo`` -- closed-form minimizer over a box (no rows),
 * ``solve_lp`` -- dense bounded dual simplex started at ``box_lmo``'s
-  point (dual feasible on finite bounds, so there is no phase 1), with a
-  bound-flipping ratio test and a lowest-index leaving rule as
-  anti-cycling fallback, going on once from its basis on rows loosened
-  by half the row tolerance when that could cover a shortfall the ratio
-  test leaves, restarted once on such rows when it revisits a basis, and
-  stopped at a pivot once its stop time has passed,
+  point (dual feasible on finite bounds, so there is no phase 1) or at a
+  given dual feasible basis, with a bound-flipping ratio test and a
+  lowest-index leaving rule as anti-cycling fallback, going on once from
+  its basis on rows loosened by half the row tolerance when that could
+  cover a shortfall the ratio test leaves, restarted once on such rows
+  when it revisits a basis, and stopped at a pivot once its stop time has
+  passed.  It keeps the basis inverse under rank-one updates and makes
+  one ``np.linalg.solve`` per LP, on the final basis, for the point,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
-  pruning on the LP bound), capped at ``MIP_NODE_CAP`` nodes and stopped
-  at the caller's deadline.
+  pruning on the LP bound, each child's LP started from its parent's
+  optimal basis), capped at ``MIP_NODE_CAP`` nodes and stopped at the
+  caller's deadline.
 
 ``round_integers``, ``fix_coordinates`` and ``integral_bounds`` are the
 one integer-rounding rule (half up, clamped; bounds rounded inward) that
@@ -90,12 +93,16 @@ class Region:
                 int_tol: float | None = None) -> np.ndarray:
         """Membership mask of the rows of ``points`` (shape ``(k, n)``):
         bounds and rows within ``tol``, integrality within ``int_tol``
-        unless it is None."""
+        unless it is None.  Rows and integrality are checked only on the
+        points inside the bounds."""
         inside = ~np.any((points < self.lb - tol) | (points > self.ub + tol), axis=1)
-        inside &= ~np.any(points @ self.a.T > self.b + tol, axis=1)
+        kept = np.flatnonzero(inside)
+        boxed = points[kept]
+        ok = ~np.any(boxed @ self.a.T > self.b + tol, axis=1)
         if int_tol is not None and self.integer_mask.any():
-            x_int = points[:, self.integer_mask]
-            inside &= ~(np.abs(x_int - np.round(x_int)).max(axis=1) > int_tol)
+            x_int = boxed[:, self.integer_mask]
+            ok &= ~(np.abs(x_int - np.round(x_int)).max(axis=1) > int_tol)
+        inside[kept] = ok
         return inside
 
 
@@ -129,32 +136,46 @@ class LpResult:
     point: np.ndarray | None
     value: float
     status: str  # optimal | infeasible | error
+    # the optimal run's final (basis, at_upper), a start for solve_lp
+    state: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray,
-                  ub: np.ndarray, stop_at: float) -> tuple[str, np.ndarray | None]:
+                  ub: np.ndarray, stop_at: float,
+                  start: tuple[np.ndarray, np.ndarray] | None = None,
+                  ) -> tuple[str, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
     """Dense bounded dual simplex for min cost'x over ``a @ x + s = b``,
     ``lb <= x <= ub`` (finite), ``s >= 0``.
 
-    Starts from the slack basis with every column at the bound its cost
-    favours (``box_lmo``'s point), which is dual feasible.  Each pivot
-    sends the most violated basic variable to the bound it violates; the
-    bound-flipping ratio test walks the breakpoints ``|d_j| / |alpha_j|``
-    (lowest index on ties), flipping each column passed, until one can
-    absorb the rest of the violation and enters.  After ``2 * (n + m)``
-    consecutive pivots with an entering reduced cost within ``_LP_TOL``
-    the lowest violated basic index leaves instead.  A ratio test that
-    finds no column proves the LP infeasible, except once: when loosening
-    every row by ``ROW_FEASIBILITY_TOL / 2`` could cover the shortfall,
-    the run goes on from the same basis on the loosened rows.  A run that
-    comes back to a ``(basis, at_upper)`` state it has passed since ``b``
-    last changed starts again once from the slack basis on rows loosened
-    that way (no further), and returns error on a second revisit.  A
-    pivot starting after ``stop_at`` (a ``time.monotonic()`` reading)
+    Starts from ``start``, a ``(basis, at_upper)`` state that is dual
+    feasible for ``cost`` (an optimal state of the same cost under other
+    bounds is), else from the slack basis with every column at the bound
+    its cost favours (``box_lmo``'s point), which is dual feasible.  The
+    run keeps the basis inverse: the identity on the slack basis, one
+    ``np.linalg.inv`` on a given start, and a rank-one product-form update
+    per pivot; the basic values, duals and pivot row are read from it.
+    When it shows no violated basic variable, one ``np.linalg.solve`` on
+    the basis confirms that and gives the returned point; a failed
+    confirmation refactors the inverse and the run goes on.
+
+    Each pivot sends the most violated basic variable to the bound it
+    violates; the bound-flipping ratio test walks the breakpoints
+    ``|d_j| / |alpha_j|`` (lowest index on ties), flipping each column
+    passed, until one can absorb the rest of the violation and enters.
+    After ``2 * (n + m)`` consecutive pivots with an entering reduced cost
+    within ``_LP_TOL`` the lowest violated basic index leaves instead.  A
+    ratio test that finds no column proves the LP infeasible, except once:
+    when loosening every row by ``ROW_FEASIBILITY_TOL / 2`` could cover the
+    shortfall, the run goes on from the same basis on the loosened rows.
+    A run that comes back to a ``(basis, at_upper)`` state it has passed
+    since ``b`` last changed starts again once from the slack basis on rows
+    loosened that way (no further), and returns error on a second revisit.
+    A pivot starting after ``stop_at`` (a ``time.monotonic()`` reading)
     ends the run.
 
-    Returns ``(status, x)`` with status optimal, infeasible or error;
-    a singular basis raises ``numpy.linalg.LinAlgError``.
+    Returns ``(status, x, state)`` with status optimal, infeasible or
+    error, and the final ``(basis, at_upper)`` when optimal; a singular
+    basis raises ``numpy.linalg.LinAlgError``.
     """
     m, n = a.shape
     mat = np.hstack([a, np.eye(m)])
@@ -162,59 +183,67 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     hi = np.concatenate([ub, np.full(m, np.inf)])
     c = np.concatenate([cost, np.zeros(m)])
     start_upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
-    at_upper = start_upper.copy()
     movable = lo < hi
-    basis = np.arange(n, n + m)
+    width = hi - lo
+    if start is None:
+        basis, at_upper, inverse = np.arange(n, n + m), start_upper.copy(), np.eye(m)
+    else:
+        basis, at_upper = start[0].copy(), start[1].copy()
+        inverse = np.linalg.inv(mat[:, basis])
     degenerate = 0
     loosened = restarted = False
     seen: set[bytes] = set()  # (basis, at_upper) states since b last changed
     for _ in range(LP_PIVOT_CAP):
         if time.monotonic() > stop_at:
-            return "error", None
+            return "error", None, None
         state = basis.tobytes() + at_upper.tobytes()
         if state in seen:
             # pivots on coefficients just above _LP_TOL can swap two bases
             # back and forth at nonzero reduced costs, past the fallback
             if restarted:
-                return "error", None
+                return "error", None, None
             if not loosened:
                 b = b + 0.5 * ROW_FEASIBILITY_TOL
             loosened = restarted = True
-            at_upper = start_upper.copy()
-            basis = np.arange(n, n + m)
+            basis, at_upper, inverse = np.arange(n, n + m), start_upper.copy(), np.eye(m)
             degenerate = 0
             seen.clear()
             continue
         seen.add(state)
         x = np.where(at_upper, hi, lo)
         x[basis] = 0.0
-        basic = mat[:, basis]
-        x_b = np.linalg.solve(basic, b - mat @ x)
+        rest = b - mat @ x
+        x_b = inverse @ rest
         below = lo[basis] - x_b
         violation = np.maximum(below, x_b - hi[basis])
         if violation.max() <= _LP_TOL:
-            x[basis] = x_b
-            return "optimal", x[:n]
+            x_b = np.linalg.solve(mat[:, basis], rest)
+            below = lo[basis] - x_b
+            violation = np.maximum(below, x_b - hi[basis])
+            if violation.max() <= _LP_TOL:
+                x[basis] = x_b
+                return "optimal", x[:n], (basis, at_upper)
+            inverse = np.linalg.inv(mat[:, basis])
         if degenerate >= 2 * (n + m):
             violated = np.flatnonzero(violation > _LP_TOL)
             r = int(violated[np.argmin(basis[violated])])
         else:
             r = int(np.argmax(violation))
         sigma = 1.0 if below[r] > 0 else -1.0  # +1: leaves at its lower bound
-        unit = np.zeros(m)
-        unit[r] = 1.0
-        y = np.linalg.solve(basic.T, c[basis])
-        rho = np.linalg.solve(basic.T, unit)
+        y = c[basis] @ inverse
+        rho = inverse[r]
         d = c - y @ mat
         alpha = rho @ mat
         # a column whose move toward its other bound repairs the row
         toward = np.where(at_upper, -sigma, sigma) * alpha
         nonbasic = np.ones(n + m, dtype=bool)
         nonbasic[basis] = False
-        eligible = np.flatnonzero(nonbasic & movable & (toward < -_LP_TOL))
-        order = eligible[np.argsort(np.abs(d[eligible]) / np.abs(alpha[eligible]), kind="stable")]
-        left = violation[r] - np.cumsum(np.abs(alpha[order]) * (hi[order] - lo[order]))
-        absorbs = np.flatnonzero(left <= _LP_TOL)
+        eligible = np.nonzero(nonbasic & movable & (toward < -_LP_TOL))[0]
+        steep = np.abs(alpha[eligible])
+        perm = np.argsort(np.abs(d[eligible]) / steep, kind="stable")
+        order = eligible[perm]
+        left = violation[r] - np.cumsum(steep[perm] * width[order])
+        absorbs = np.nonzero(left <= _LP_TOL)[0]
         if not len(absorbs):
             # A row met only to rounding (a coefficient at the pivot
             # tolerance) can keep about _LP_TOL of violation that no
@@ -225,9 +254,9 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
             # from this basis, dual feasible for any b, on the loosened
             # rows.  Their points are still members of the region.
             helps = nonbasic & movable & (toward < 0)
-            short = violation[r] - np.abs(alpha[helps]) @ (hi[helps] - lo[helps])
+            short = violation[r] - np.abs(alpha[helps]) @ width[helps]
             if loosened or short > 0.5 * ROW_FEASIBILITY_TOL * sigma * rho.sum():
-                return "infeasible", None
+                return "infeasible", None, None
             b = b + 0.5 * ROW_FEASIBILITY_TOL
             loosened = True
             seen.clear()
@@ -239,16 +268,26 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
         at_upper[basis[r]] = sigma < 0
         at_upper[enter] = False
         basis[r] = enter
-    return "error", None
+        # product-form update: row r becomes the pivot row scaled by the
+        # entering column's entry, the others lose their multiple of it
+        column = inverse @ mat[:, enter]
+        pivot_row = rho / column[r]
+        inverse = inverse - np.outer(column, pivot_row)
+        inverse[r] = pivot_row
+    return "error", None, None
 
 
-def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -> LpResult:
+def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf,
+             start: tuple[np.ndarray, np.ndarray] | None = None) -> LpResult:
     """Minimize direction'x over the region's rows and bounds.
 
-    Falls back to the coordinatewise box rule when there are no rows.  A
-    simplex still running at ``stop_at`` (a ``time.monotonic()`` reading)
-    returns status ``error``.  Raises ``ValueError`` on an infinite
-    bound: the dual simplex starts at a box vertex.
+    Falls back to the coordinatewise box rule when there are no rows.
+    ``start`` is a ``(basis, at_upper)`` state for the dual simplex, such
+    as the ``state`` of an optimal ``LpResult`` of the same direction over
+    other bounds; an optimal result carries its own.  A simplex still
+    running at ``stop_at`` (a ``time.monotonic()`` reading) returns status
+    ``error``.  Raises ``ValueError`` on an infinite bound: the dual
+    simplex starts at a box vertex.
     """
     direction = np.asarray(direction, dtype=float)
     lb, ub = region.lb, region.ub
@@ -261,12 +300,12 @@ def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf) -
         return LpResult(x, float(direction @ x), "optimal")
 
     try:
-        status, x = _dual_simplex(region.a, region.b, direction, lb, ub, stop_at)
+        status, x, state = _dual_simplex(region.a, region.b, direction, lb, ub, stop_at, start)
     except np.linalg.LinAlgError:
         return LpResult(None, math.inf, "error")
     if status == "optimal":
         x = np.clip(x, lb, ub)
-        return LpResult(x, float(direction @ x), "optimal")
+        return LpResult(x, float(direction @ x), "optimal", state)
     return LpResult(None, math.inf, status)
 
 
@@ -342,7 +381,8 @@ def mip_lmo(
 
     Depth-first search, branching on the most fractional integer variable
     (lowest index breaks ties), down branch explored first, nodes pruned
-    when their LP bound reaches the incumbent minus 1e-9.
+    when their LP bound reaches the incumbent minus 1e-9.  Each child's LP
+    starts from its parent's final simplex state.
 
     A search stopped after ``MIP_NODE_CAP`` nodes or at ``deadline`` (a
     ``time.monotonic()`` reading) returns its incumbent with status
@@ -359,7 +399,9 @@ def mip_lmo(
         return MipResult(x, float(direction @ x), "optimal")
 
     stop_at = math.inf if deadline is None else deadline
-    stack: list[tuple[np.ndarray, np.ndarray]] = [(lb, ub)]
+    # (lb, ub, the parent LP's final state): the parent's optimal basis is
+    # dual feasible for a child, whose cost is the same
+    stack: list[tuple[np.ndarray, np.ndarray, tuple | None]] = [(lb, ub, None)]
     incumbent: np.ndarray | None = None
     incumbent_val = math.inf
     nodes = 0
@@ -370,9 +412,9 @@ def mip_lmo(
         if nodes >= MIP_NODE_CAP or time.monotonic() > stop_at:
             timed_out = True
             break
-        node_lb, node_ub = stack.pop()
+        node_lb, node_ub, start = stack.pop()
         nodes += 1
-        res = solve_lp(direction, region.with_bounds(node_lb, node_ub), stop_at)
+        res = solve_lp(direction, region.with_bounds(node_lb, node_ub), stop_at, start)
         if res.status == "infeasible":
             continue
         if res.status == "error":
@@ -400,8 +442,8 @@ def mip_lmo(
         down_ub[k] = math.floor(res.point[k])
         up_lb = node_lb.copy()
         up_lb[k] = math.ceil(res.point[k])
-        stack.append((up_lb, node_ub))  # popped second
-        stack.append((node_lb, down_ub))  # down branch explored first
+        stack.append((up_lb, node_ub, res.state))  # popped second
+        stack.append((node_lb, down_ub, res.state))  # down branch explored first
 
     if timed_out:
         return MipResult(incumbent, incumbent_val, "timeout", trusted=incumbent is not None)

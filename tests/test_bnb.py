@@ -445,6 +445,31 @@ class TestSolutionPool:
         assert pool.incumbent_point is None
         assert store.read() == (np.inf, None)
 
+    def test_repeat_submit_does_no_work(self, monkeypatch):
+        p = binary_problem(2, [(0, 1, 1.0)], [-1.0, -2.0])
+        repairs, checks = [], []
+
+        def repair(x):
+            repairs.append(x)
+            return x
+
+        def counted_check(*args):
+            checks.append(1)
+            return check_feasibility(*args)
+
+        monkeypatch.setattr(bnb, "check_feasibility", counted_check)
+        pool = SolutionPool(p, p, lambda x: x, repair, clock=lambda: 0.0, trace=SolveTrace())
+        x = np.array([0.0, 1.0])
+        assert pool.submit(x)
+        assert (len(repairs), len(checks)) == (1, 1)
+        # the same bytes: refused before the snap and the repair
+        assert not pool.submit(x.copy())
+        assert (len(repairs), len(checks)) == (1, 1)
+        # other bytes that snap to the seen vertex: refused by its key
+        assert not pool.submit(np.array([0.2, 0.9]))
+        assert (len(repairs), len(checks)) == (2, 1)
+        assert pool.trace.events == [(0.0, -2.0)]
+
     def test_event_stamped_with_the_checked_reading(self):
         pool, store = self.pool([0.75, 5.0], horizon=1.0)
         assert pool.submit(np.array([0.0, 1.0]))

@@ -1,5 +1,6 @@
 import itertools
 import time
+import types
 
 import numpy as np
 import pytest
@@ -195,26 +196,98 @@ class TestSolveLp:
                 assert np.all(res.point >= lb - 1e-9)
                 assert np.all(res.point <= ub + 1e-9)
 
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        calls = []
+        for name in ("solve", "inv"):
+            def counted(*args, _fn=getattr(np.linalg, name)):
+                calls.append(1)
+                return _fn(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @staticmethod
+    def _count_pivots(monkeypatch):
+        # the simplex reads the clock once before each pivot and once
+        # before it sees the optimum
+        readings = []
+
+        def monotonic():
+            readings.append(1)
+            return time.monotonic()
+
+        monkeypatch.setattr(lmo, "time", types.SimpleNamespace(monotonic=monotonic))
+        return readings
+
     def test_bound_flips_repair_a_row_in_one_pivot(self, monkeypatch):
         # sum(x) <= 50 over 200 unit columns, costs -1..-200: the start puts
         # every column at 1; one pivot flips the columns of cost -1..-149
-        # to 0 and the one of cost -150 enters at 0, so the LP costs one
-        # solve for the start, two for the pivot and one to see that it is
-        # optimal
-        calls = []
-        solve = np.linalg.solve
-
-        def counted(*args):
-            calls.append(1)
-            return solve(*args)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        # to 0 and the one of cost -150 enters at 0.  The slack basis
+        # inverse is the identity and the pivot updates it, so the LP
+        # costs one solve, the one that confirms the optimum
+        calls = self._count_factorizations(monkeypatch)
         n = 200
         region = box(np.zeros(n), np.ones(n), a=np.ones((1, n)), b=[50.0])
         res = solve_lp(-np.arange(1.0, n + 1), region)
         assert res.status == "optimal"
         assert res.value == -8775.0
-        assert len(calls) <= 4
+        assert len(calls) == 1
+
+    def test_warm_start_with_one_more_column_fixed_takes_one_pivot(self, monkeypatch):
+        # the LP above with the column of cost -1 fixed at 1: from the
+        # parent's basis the row is short by 1, and the column of cost
+        # -151 leaves its upper bound to cover it
+        n = 200
+        cost = -np.arange(1.0, n + 1)
+        region = box(np.zeros(n), np.ones(n), a=np.ones((1, n)), b=[50.0])
+        parent = solve_lp(cost, region)
+        lb = np.zeros(n)
+        lb[0] = 1.0
+        child = region.with_bounds(lb, np.ones(n))
+        cold = solve_lp(cost, child)
+        pivots = self._count_pivots(monkeypatch)
+        calls = self._count_factorizations(monkeypatch)
+        warm = solve_lp(cost, child, start=parent.state)
+        assert (warm.status, warm.value) == ("optimal", cold.value)
+        assert warm.value == -8625.0
+        assert len(pivots) - 1 == 1
+        assert len(calls) == 2  # the start's inverse and the confirmation
+
+    def test_warm_start_from_a_parent_matches_cold_and_scipy(self):
+        # each optimal LP, with one bound tightened toward or past its
+        # point as a branch does, re-solved from its final state
+        lps = itertools.chain(self._normal_lps(np.random.default_rng(12), 120),
+                              self._integer_lps(np.random.default_rng(13), 600))
+        rng = np.random.default_rng(15)
+        warm_optimal = 0
+        for trial, (direction, a_mat, rhs, lb, ub) in enumerate(lps):
+            parent = solve_lp(direction, box(lb, ub, a=a_mat, b=rhs))
+            if parent.status != "optimal":
+                continue
+            state = [part.copy() for part in parent.state]
+            k = int(rng.integers(len(lb)))
+            child_lb, child_ub = lb.copy(), ub.copy()
+            if rng.random() < 0.5:
+                child_ub[k] = max(lb[k], np.floor(lb[k] + parent.point[k]) / 2)
+            else:
+                child_lb[k] = min(ub[k], np.ceil(ub[k] + parent.point[k]) / 2)
+            region = box(child_lb, child_ub, a=a_mat, b=rhs)
+            cold = solve_lp(direction, region)
+            warm = solve_lp(direction, region, start=parent.state)
+            ref = linprog(direction, A_ub=a_mat, b_ub=rhs,
+                          bounds=list(zip(child_lb, child_ub)), method="highs")
+            assert all(np.array_equal(p, q) for p, q in zip(parent.state, state))
+            assert warm.status == cold.status, f"trial {trial}"
+            if ref.status == 2:
+                assert warm.status == "infeasible", f"trial {trial}"
+                continue
+            assert warm.status == "optimal", f"trial {trial}"
+            assert warm.value == pytest.approx(cold.value, abs=1e-9), f"trial {trial}"
+            assert warm.value == pytest.approx(ref.fun, abs=1e-9), f"trial {trial}"
+            assert region.contains(warm.point)
+            warm_optimal += 1
+        assert warm_optimal >= 300
 
     def test_infinite_bound_raises(self):
         # min x subject to x <= 1 over x >= -inf is unbounded below
@@ -385,9 +458,9 @@ class TestMipLmo:
         # timeout, not an LP failure
         lp = lmo.solve_lp
 
-        def slow_lp(direction, region, stop_at):
+        def slow_lp(*args):
             time.sleep(0.1)
-            return lp(direction, region, stop_at)
+            return lp(*args)
 
         monkeypatch.setattr(lmo, "solve_lp", slow_lp)
         region = box([0, 0], [1, 1], integer=[True, True], a=[[1.0, 1.0]], b=[1.0])
@@ -543,3 +616,36 @@ class TestLazyLookupMatchesScalarScan:
             assert got is None
         else:
             assert got is not None and got.tobytes() == want.tobytes()
+
+
+class TestRegionMembers:
+    """``members`` checks rows and integrality only on the points inside
+    the bounds; the mask must be the one a check of everything on every
+    point gives."""
+
+    @staticmethod
+    def _points(rng, k, n):
+        # dyadic coordinates, so row sums are exact in any order
+        return rng.integers(-3, 4, size=(k, n)) + rng.choice(_OFFSETS, size=(k, n))
+
+    @pytest.mark.parametrize("case", ["random", "none inside the bounds",
+                                      "no integer coordinates", "no rows"])
+    def test_equals_the_full_mask(self, case):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(0 if case == "no rows" else 1, 4))
+            lb = rng.integers(-2, 1, size=n) + rng.choice(_OFFSETS, size=n)
+            ub = lb + rng.integers(0, 4, size=n)
+            mask = (rng.random(n) < 0.5) & (case != "no integer coordinates")
+            if case == "no rows":
+                m = 0
+            region = Region(lb, ub, rng.integers(-3, 4, size=(m, n)).astype(float),
+                            rng.integers(-3, 4, size=m) + rng.choice(_OFFSETS, size=m), mask)
+            points = self._points(rng, int(rng.integers(0, 12)), n)
+            if case == "none inside the bounds":
+                points[:, 0] = ub[0] + 1.0
+            got = region.members(points, ROW_FEASIBILITY_TOL, INT_TOL)
+            want = [_scalar_contains(region, p) for p in points]
+            assert got.dtype == bool and got.tolist() == want
+            if case == "none inside the bounds":
+                assert not got.any()
