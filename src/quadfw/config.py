@@ -39,8 +39,10 @@ class Config:
             raise ValueError("time limit must be finite and nonnegative")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
-        if self.p <= 1.0 or any(p <= 1.0 for p in self.p_grid):
-            raise ValueError("penalty exponents must exceed 1")
+        if not self.p_grid or not self.ell_grid:
+            raise ValueError("the p and ell grids must not be empty")
+        if not all(1.0 < p < math.inf for p in (self.p, *self.p_grid)):
+            raise ValueError("penalty exponents must be finite and exceed 1")
         if any(not 0.0 <= e <= 1.0 for e in self.ell_grid):
             raise ValueError("convexification proportions must lie in [0, 1]")
         if not (10 <= self.restart_interval <= 1000):

@@ -13,6 +13,7 @@ objective never increases even on nonconvex relaxations.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -183,7 +184,7 @@ def bpcg(
     max_iter: int = 10,
     eps: float = 1e-4,
     cache: VertexCache | None = None,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     init_direction: np.ndarray | None = None,
 ) -> FwResult:
     """Run BPCG until the dual gap falls below eps, the iteration budget
@@ -242,7 +243,7 @@ def bpcg(
         if phi <= eps:
             status = "converged"
             break
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             status = "deadline"
             break
         iterations += 1

@@ -9,13 +9,13 @@ Three layers:
 * ``box_lmo`` -- closed-form minimizer over a box (no rows),
 * ``solve_lp`` -- dense bounded dual simplex started at ``box_lmo``'s
   point (dual feasible on finite bounds, so there is no phase 1) or at a
-  given dual feasible basis, with a bound-flipping ratio test and a
-  lowest-index leaving rule as anti-cycling fallback, going on once from
-  its basis on rows loosened by half the row tolerance when that could
-  cover a shortfall the ratio test leaves, restarted once on such rows
-  when it revisits a basis, and stopped at a pivot once its stop time has
-  passed.  It keeps the basis inverse under rank-one updates and makes
-  one ``np.linalg.solve`` per LP, on the final basis, for the point,
+  given dual feasible basis, with a bound-flipping ratio test and one
+  fault rule: a revisited basis, or a ratio test whose shortfall
+  loosening could cover, loosens the rows by half the row tolerance once
+  and goes on from that basis (a cycle on loosened rows restarts once from
+  the slack basis).  It stops at a pivot once its stop time has passed,
+  keeps the basis inverse under rank-one updates and makes one
+  ``np.linalg.solve`` per LP, on the final basis, for the point,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
   pruning on the LP bound, each child's LP started from its parent's
@@ -162,16 +162,15 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     violates; the bound-flipping ratio test walks the breakpoints
     ``|d_j| / |alpha_j|`` (lowest index on ties), flipping each column
     passed, until one can absorb the rest of the violation and enters.
-    After ``2 * (n + m)`` consecutive pivots with an entering reduced cost
-    within ``_LP_TOL`` the lowest violated basic index leaves instead.  A
-    ratio test that finds no column proves the LP infeasible, except once:
-    when loosening every row by ``ROW_FEASIBILITY_TOL / 2`` could cover the
-    shortfall, the run goes on from the same basis on the loosened rows.
-    A run that comes back to a ``(basis, at_upper)`` state it has passed
-    since ``b`` last changed starts again once from the slack basis on rows
-    loosened that way (no further), and returns error on a second revisit.
-    A pivot starting after ``stop_at`` (a ``time.monotonic()`` reading)
-    ends the run.
+    One fault rule: a run that comes back to a ``(basis, at_upper)``
+    state it has passed since the last fault loosens every row by
+    ``ROW_FEASIBILITY_TOL / 2`` and goes on from that basis, dual feasible
+    for any ``b``; a revisit on loosened rows restarts once from the slack
+    basis, and one after that returns error.  A ratio test that finds no
+    column proves the LP infeasible, unless the rows are not loosened yet
+    and loosening could cover the shortfall: then the state stays as it
+    is, and the next turn meets it as a revisit.  A pivot starting after
+    ``stop_at`` (a ``time.monotonic()`` reading) ends the run.
 
     Returns ``(status, x, state)`` with status optimal, infeasible or
     error, and the final ``(basis, at_upper)`` when optimal; a singular
@@ -190,25 +189,24 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     else:
         basis, at_upper = start[0].copy(), start[1].copy()
         inverse = np.linalg.inv(mat[:, basis])
-    degenerate = 0
     loosened = restarted = False
-    seen: set[bytes] = set()  # (basis, at_upper) states since b last changed
+    seen: set[bytes] = set()  # (basis, at_upper) states since the last fault
     for _ in range(LP_PIVOT_CAP):
         if time.monotonic() > stop_at:
             return "error", None, None
         state = basis.tobytes() + at_upper.tobytes()
         if state in seen:
-            # pivots on coefficients just above _LP_TOL can swap two bases
-            # back and forth at nonzero reduced costs, past the fallback
+            # a cycle (degenerate pivots, or pivots on coefficients just
+            # above _LP_TOL), or a ratio test that left the state as it was
             if restarted:
                 return "error", None, None
-            if not loosened:
-                b = b + 0.5 * ROW_FEASIBILITY_TOL
-            loosened = restarted = True
-            basis, at_upper, inverse = np.arange(n, n + m), start_upper.copy(), np.eye(m)
-            degenerate = 0
             seen.clear()
-            continue
+            if loosened:  # a near-singular basis can cycle on loosened rows
+                restarted = True
+                basis, at_upper, inverse = np.arange(n, n + m), start_upper.copy(), np.eye(m)
+                continue
+            b = b + 0.5 * ROW_FEASIBILITY_TOL
+            loosened = True
         seen.add(state)
         x = np.where(at_upper, hi, lo)
         x[basis] = 0.0
@@ -224,11 +222,7 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
                 x[basis] = x_b
                 return "optimal", x[:n], (basis, at_upper)
             inverse = np.linalg.inv(mat[:, basis])
-        if degenerate >= 2 * (n + m):
-            violated = np.flatnonzero(violation > _LP_TOL)
-            r = int(violated[np.argmin(basis[violated])])
-        else:
-            r = int(np.argmax(violation))
+        r = int(np.argmax(violation))
         sigma = 1.0 if below[r] > 0 else -1.0  # +1: leaves at its lower bound
         y = c[basis] @ inverse
         rho = inverse[r]
@@ -250,21 +244,17 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
             # eligible column may repair.  Loosening every row by half of
             # ROW_FEASIBILITY_TOL moves this basic variable by sigma *
             # rho.sum() times that; where this and every column that moves
-            # it the right way could cover the violation, the run goes on
-            # from this basis, dual feasible for any b, on the loosened
-            # rows.  Their points are still members of the region.
+            # it the right way could cover the violation, the state comes
+            # back unchanged for the fault rule.  Loosened points are still
+            # members of the region.
             helps = nonbasic & movable & (toward < 0)
             short = violation[r] - np.abs(alpha[helps]) @ width[helps]
             if loosened or short > 0.5 * ROW_FEASIBILITY_TOL * sigma * rho.sum():
                 return "infeasible", None, None
-            b = b + 0.5 * ROW_FEASIBILITY_TOL
-            loosened = True
-            seen.clear()
             continue
         k = int(absorbs[0])
         enter = order[k]
         at_upper[order[:k]] ^= True
-        degenerate = degenerate + 1 if abs(d[enter]) <= _LP_TOL else 0
         at_upper[basis[r]] = sigma < 0
         at_upper[enter] = False
         basis[r] = enter
@@ -375,7 +365,7 @@ def most_fractional(x: np.ndarray, int_mask: np.ndarray) -> int | None:
 def mip_lmo(
     direction: np.ndarray,
     region: Region,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> MipResult:
     """Optimal mixed-integer vertex of min direction'x over the region.
 
@@ -398,7 +388,6 @@ def mip_lmo(
         x = box_lmo(direction, region.with_bounds(lb, ub))
         return MipResult(x, float(direction @ x), "optimal")
 
-    stop_at = math.inf if deadline is None else deadline
     # (lb, ub, the parent LP's final state): the parent's optimal basis is
     # dual feasible for a child, whose cost is the same
     stack: list[tuple[np.ndarray, np.ndarray, tuple | None]] = [(lb, ub, None)]
@@ -409,16 +398,16 @@ def mip_lmo(
     any_lp_error = False
 
     while stack:
-        if nodes >= MIP_NODE_CAP or time.monotonic() > stop_at:
+        if nodes >= MIP_NODE_CAP or time.monotonic() > deadline:
             timed_out = True
             break
         node_lb, node_ub, start = stack.pop()
         nodes += 1
-        res = solve_lp(direction, region.with_bounds(node_lb, node_ub), stop_at, start)
+        res = solve_lp(direction, region.with_bounds(node_lb, node_ub), deadline, start)
         if res.status == "infeasible":
             continue
         if res.status == "error":
-            if time.monotonic() > stop_at:  # the LP was cut, not failed
+            if time.monotonic() > deadline:  # the LP was cut, not failed
                 timed_out = True
                 break
             any_lp_error = True

@@ -17,6 +17,7 @@ returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,7 +46,7 @@ def probability_rounding(
     box: tuple[np.ndarray, np.ndarray] | None = None,
     submit=None,
     fw_iter: int = 50,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> list[np.ndarray]:
     """Randomized fixing of binaries with probability x_k (other integers
     rounded), followed by a short box-constrained FW solve for any
@@ -88,7 +89,7 @@ def follow_the_gradient(
     region: Region,
     start_direction: np.ndarray,
     budget: int = 50,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     submit=None,
     value_fn=None,
 ) -> np.ndarray | None:
@@ -229,7 +230,7 @@ def _greedy_cover(graph: NonlinearityGraph) -> set[int]:
 
 def minimum_vertex_cover(
     graph: NonlinearityGraph,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> set[int]:
     """Minimum vertex cover of the nonlinearity graph.
 
@@ -257,7 +258,7 @@ def minimum_vertex_cover(
 def undercover(
     problem: Problem,
     reference: np.ndarray,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> np.ndarray | None:
     """Fix a vertex cover of the nonlinearity graph to reference values so
     the remainder is a MILP, then solve it with the internal MIP."""

@@ -12,7 +12,8 @@ count toward the time limit, the TTF and the primal integral.  Workers
 poll their stop time at node boundaries, LMO entry and every simplex
 pivot, which bounds the overrun to the rest of one node.  A later worker
 adopts the store's incumbent at its restarts.  A worker's exception
-propagates and no later worker runs.
+propagates and no later worker runs.  A best point on one of presolve's
+artificial bounds adds ``+artificial_bound`` to the report's termination.
 """
 
 from __future__ import annotations
@@ -104,6 +105,9 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
     events = [(t, sign * v) for (t, v) in merged]
     status = "feasible" if merged else "no_solution"
     terminations = sorted({t.termination for t in traces if t.termination})
+    _, best = store.read()
+    if best is not None and presolved.on_artificial_bound(best):
+        terminations.append("artificial_bound")
     report = build_report(
         instance=problem.name,
         status=status,

@@ -54,11 +54,19 @@ class PresolveResult:
     problem: Problem
     status: str  # "ok" | "infeasible"
     transforms: list[dict] = field(default_factory=list)
-    artificial_bounds: bool = False
+    # bounds set to -+ARTIFICIAL_BOUND in place of infinite ones
+    artificial_lb: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    artificial_ub: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     # original-space reconstruction data
     n_original: int = 0
     kept_original: list[int] = field(default_factory=list)  # reform idx -> original idx
     removed_epigraphs: list[tuple[int, int]] = field(default_factory=list)  # (w_orig, x_reform)
+
+    def on_artificial_bound(self, x: np.ndarray) -> bool:
+        """Whether a reformulated-space point lies on an artificial bound."""
+        near = 1e-9 * ARTIFICIAL_BOUND
+        return bool(np.any(self.artificial_lb & (x <= self.problem.lb + near))
+                    or np.any(self.artificial_ub & (x >= self.problem.ub - near)))
 
     def uncrush(self, x: np.ndarray) -> np.ndarray:
         """Map a point of the reformulated space to the original space."""
@@ -95,7 +103,7 @@ class PresolveResult:
 
 
 def propagate_bounds(
-    problem: Problem, deadline: float | None = None
+    problem: Problem, deadline: float = math.inf
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Activity-based bound strengthening over the linear constraints.
 
@@ -142,7 +150,7 @@ def propagate_bounds(
                 changed = True
         if np.any(lb > ub + _FEAS_EPS):
             return lb, ub, "infeasible"
-        if not changed or (deadline is not None and time.monotonic() > deadline):
+        if not changed or time.monotonic() > deadline:
             break
     return lb, ub, "ok"
 
@@ -390,7 +398,7 @@ def convexify_binary(problem: Problem, ell: float) -> tuple[Problem, float]:
 # ---------------------------------------------------------------------------
 
 
-def run_presolve(problem: Problem, deadline: float | None = None) -> PresolveResult:
+def run_presolve(problem: Problem, deadline: float = math.inf) -> PresolveResult:
     """Propagate bounds (stopped between passes at ``deadline``), apply
     structural reformulations, finalize bounds.
 
@@ -425,22 +433,16 @@ def run_presolve(problem: Problem, deadline: float | None = None) -> PresolveRes
             new_cons.append(con)
     work = replace(work, constraints=new_cons)
 
-    artificial = False
-    lb, ub = work.lb.copy(), work.ub.copy()
-    for k in range(work.n):
-        if not math.isfinite(lb[k]):
-            lb[k] = -ARTIFICIAL_BOUND
-            artificial = True
-        if not math.isfinite(ub[k]):
-            ub[k] = ARTIFICIAL_BOUND
-            artificial = True
-    work = replace(work, lb=lb, ub=ub)
+    artificial_lb, artificial_ub = ~np.isfinite(work.lb), ~np.isfinite(work.ub)
+    work = replace(work, lb=np.where(artificial_lb, -ARTIFICIAL_BOUND, work.lb),
+                   ub=np.where(artificial_ub, ARTIFICIAL_BOUND, work.ub))
 
     return PresolveResult(
         problem=work,
         status="ok",
         transforms=transforms,
-        artificial_bounds=artificial,
+        artificial_lb=artificial_lb,
+        artificial_ub=artificial_ub,
         n_original=n_original,
         kept_original=kept,
         removed_epigraphs=removed_epigraphs,

@@ -30,6 +30,28 @@ CON cap LIN 2 1
 CON cap SENSE LE 2
 """
 
+# min -x0*x1 - x1 with x1^2 <= 4: the p grid applies (a quadratic row)
+# and p = 1.5 finds -4.0 at (1, 2)
+QUADRATIC_ROW = """\
+NVARS 2
+VAR 0 B 0 1
+VAR 1 I 0 3
+OBJ QUAD 0 1 -1.0
+OBJ LIN 1 -1.0
+CON sq QUAD 1 1 1.0
+CON sq SENSE LE 4
+"""
+
+# min x0*x1 - x1 over a free x0: presolve bounds x0 by +-1e5, and the
+# best point found, (-1e5, 3), lies on that bound
+FREE_VARIABLE = """\
+NVARS 2
+VAR 0 C -inf +inf
+VAR 1 I 0 3
+OBJ QUAD 0 1 1.0
+OBJ LIN 1 -1.0
+"""
+
 INFEASIBLE = """\
 NVARS 1
 VAR 0 B 0 1
@@ -96,6 +118,27 @@ class TestSolveCommand:
         assert "time limit" in report["termination"]
         assert report["metrics"]["ttf"] == 0.0
 
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_invalid_penalty_exponent_exit_code(self, tmp_path, capsys, p):
+        inst = tmp_path / "quad.qfw"
+        inst.write_text(QUADRATIC_ROW)
+        assert main(["solve", str(inst), "--workers", "1", "--time-limit", "5",
+                     "--p", p]) == 1
+        report = json.loads(capsys.readouterr().err, parse_constant=pytest.fail)
+        assert report["status"] == "error"
+        assert "penalty exponents" in report["termination"]
+
+    def test_point_on_artificial_bound_is_reported(self, tmp_path):
+        inst = tmp_path / "free.qfw"
+        inst.write_text(FREE_VARIABLE)
+        out = tmp_path / "r.json"
+        assert main(["solve", str(inst), "--workers", "1", "--time-limit", "5",
+                     "--node-limit", "20", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "feasible"
+        assert report["best_objective"] == pytest.approx(-300003.0)
+        assert report["termination"] == "exhausted+artificial_bound"
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.qfw")]) == 1
 
@@ -140,6 +183,14 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "1/2" in out
         assert "Found" in out
+
+
+class TestConfig:
+    @pytest.mark.parametrize("grid", ["p_grid", "ell_grid"])
+    def test_empty_grid_is_refused(self, grid):
+        # a portfolio picks worker w's entry as grid[w % len(grid)]
+        with pytest.raises(ValueError, match="grids"):
+            Config(**{grid: ()})
 
 
 class TestPortfolio:

@@ -298,8 +298,12 @@ class TestSolveLp:
     # Rows tight at an integer point with coefficients at 1e-9 and 1e-6.
     # A pivot on a coefficient just above the pivot tolerance swapped two
     # bases back and forth until LP_PIVOT_CAP (about 1.6 s) and the LP
-    # ended as an error; a revisited basis now restarts the run once on
-    # rows loosened by half the row tolerance.
+    # ended as an error; a revisited basis now loosens the rows by half
+    # the row tolerance once and the run goes on from that basis.  The
+    # third LP (integer coefficients and 1e-9 entries, tight at
+    # (1, 0, 0, 2)) revisits a basis before any other fault.  The fourth
+    # pivots on a 1e-9 entry, loosens its rows after the ratio test and
+    # then cycles on them; it is solved by the restart from the slack basis.
     @pytest.mark.parametrize("a, b, c, ub, value, tol", [
         ([[-2.0123598289726474, 0.0, 0.6817846040576864, -1e-09, 0.5808353159415124],
           [0.7815059639629106, -1e-09, 0.056783299358786246, -1e-09, 0.08787783354366746]],
@@ -312,9 +316,17 @@ class TestSolveLp:
          [-0.49102324681325665, -0.024837198635515652, 0.0, 2.1315757167979017,
           0.02772105506930356],
          [2, 3, 2, 2, 1], -1.0565580895330602, 1e-9),
+        ([[-1, 1e-9, 1e-9, 0], [2, 2, 1e-9, 1e-9], [-2, -1, 0, 1e-9],
+          [1e-9, 2, -1, 1e-9], [2, 0, -2, 0], [1, 1, 1e-9, 1e-9]],
+         [-1, 2.000000002, -1.999999998, 3e-9, 2, 1.000000002],
+         [-3, 3, -1, -2], [2, 1, 1, 2], -8.0000000735, 1e-7),
+        ([[0, 1, -1, -2, 2, 1e-9], [-2, 1e-9, -2, 1e-9, 2, -2], [0, 1e-9, 2, -1, 2, 0],
+          [0, 0, -2, 0, -2, 1e-9], [-2, -2, 2, 1, -1, -1]],
+         [0, 1.000000082740371e-09, 1, -2, -2],
+         [2, 0, 2, 3, 1, 0], [2, 2, 1, 1, 1, 2], 3.9999997153333338, 1e-7),
     ])
     def test_basis_swap_loop_is_solved(self, a, b, c, ub, value, tol):
-        region = box(np.zeros(5), ub, a=a, b=b)
+        region = box(np.zeros(len(ub)), ub, a=a, b=b)
         start = time.monotonic()
         res = solve_lp(np.array(c), region)
         assert time.monotonic() - start < 0.1

@@ -427,8 +427,20 @@ class TestRunPresolve:
             integrality=[VarKind.CONTINUOUS],
         )
         res = run_presolve(p)
-        assert res.artificial_bounds
+        assert res.artificial_lb.all() and res.artificial_ub.all()
         assert res.problem.bounds_finite()
+
+    def test_only_replaced_bounds_are_artificial(self):
+        # x1's bound of 1e5 is the instance's own, not presolve's
+        p = Problem(
+            n=2, terms_obj=[], d=np.array([1.0, -1.0]), c0=0.0, constraints=[],
+            lb=np.array([-np.inf, 0.0]), ub=np.array([np.inf, 1e5]),
+            integrality=[VarKind.CONTINUOUS, VarKind.CONTINUOUS],
+        )
+        res = run_presolve(p)
+        assert not res.on_artificial_bound(np.array([1.0, 1e5]))
+        assert res.on_artificial_bound(np.array([-1e5, 0.0]))
+        assert res.on_artificial_bound(np.array([1e5, 1e5]))
 
     def test_reformulations_preserve_optimum(self):
         rng = np.random.default_rng(33)
