@@ -23,6 +23,7 @@ from .lmo import VertexCache, most_fractional, region_from_problem, round_intege
 from .model import (
     Problem,
     VarKind,
+    assemble_symmetric,
     check_feasibility,
     eval_objective,
 )
@@ -37,7 +38,6 @@ class Node:
     ub: np.ndarray
     active_set: ActiveSet | None
     depth: int
-    index: int
     init_direction: np.ndarray | None = None
 
 
@@ -172,7 +172,7 @@ class SolutionPool:
 # ---------------------------------------------------------------------------
 
 
-def branch(node: Node, k: int, x_relax: np.ndarray, index_start: int = 0) -> tuple[Node, Node]:
+def branch(node: Node, k: int, x_relax: np.ndarray) -> tuple[Node, Node]:
     """Split on variable k; the parent's active set is partitioned onto
     the children by the branching coordinate and weights renormalized."""
     floor_v = math.floor(x_relax[k])
@@ -199,8 +199,8 @@ def branch(node: Node, k: int, x_relax: np.ndarray, index_start: int = 0) -> tup
         active.renormalize()
         return active
 
-    down = Node(node.lb.copy(), down_ub, make(down_vs, down_ws), node.depth + 1, index_start)
-    up = Node(up_lb, node.ub.copy(), make(up_vs, up_ws), node.depth + 1, index_start + 1)
+    down = Node(node.lb.copy(), down_ub, make(down_vs, down_ws), node.depth + 1)
+    up = Node(up_lb, node.ub.copy(), make(up_vs, up_ws), node.depth + 1)
     return down, up
 
 
@@ -291,12 +291,20 @@ def solve(
     ftg_pending = run_lns and config.enable_ftg
     has_binaries = any(k is VarKind.BINARY for k in problem.integrality)
     has_continuous = any(k is VarKind.CONTINUOUS for k in problem.integrality)
-    pure_qubo = (
-        config.enable_qubo_bipartite
-        and original.is_all_binary()
-        and not original.constraints
-        and original.n == problem.n
+    # an all-binary original without rows keeps its variables through
+    # presolve, so a reformulated point is scored on its objective
+    descent_q = (
+        assemble_symmetric(original.n, original.terms_obj)
+        if run_lns and original.is_all_binary() and not original.constraints
+        else None
     )
+
+    def submit(x: np.ndarray) -> None:
+        """``pool.submit``, then a 1-flip descent from each new incumbent
+        (a descent's own result is a 1-flip local optimum already)."""
+        if pool.submit(x) and descent_q is not None:
+            pool.submit(lns.one_flip_descent(
+                descent_q, original.d, pool.incumbent_point, problem.lb, problem.ub))
 
     # Every sub-problem is ``replace(problem, lb=..., ub=...)``, and the
     # nested solve reads nothing else that changes within this call
@@ -337,8 +345,7 @@ def solve(
                 cache.insert(seed_point)
         if kind == "random":
             direction = rng.standard_normal(problem.n)
-        return Node(problem.lb.copy(), problem.ub.copy(), active, 0,
-                    state.node_count, init_direction=direction)
+        return Node(problem.lb.copy(), problem.ub.copy(), active, 0, init_direction=direction)
 
     stack: list[Node] = [make_root("initial")]
     termination = "exhausted"
@@ -373,22 +380,22 @@ def solve(
 
         if not infeasible_node:
             for v in result.vertices:
-                pool.submit(v)
+                submit(v)
             x_relax = result.x
-            pool.submit(round_integers(x_relax, region0.integer_mask, problem.lb, problem.ub))
+            submit(round_integers(x_relax, region0.integer_mask, problem.lb, problem.ub))
 
             if run_lns and has_binaries and (
                 not has_continuous or state.node_count % 10 == 0
             ):
                 lns.probability_rounding(
                     x_relax, problem, trials=10, rng=rng, objective=objective,
-                    box=(node.lb, node.ub), submit=pool.submit, deadline=deadline,
+                    box=(node.lb, node.ub), submit=submit, deadline=deadline,
                 )
             if ftg_pending:
                 ftg_pending = False
                 lns.follow_the_gradient(
                     objective, region, rng.standard_normal(problem.n),
-                    budget=50, deadline=deadline, submit=pool.submit,
+                    budget=50, deadline=deadline, submit=submit,
                 )
             if (
                 run_lns
@@ -399,7 +406,7 @@ def solve(
                 cand = lns.asens(result.active_set, problem, subsolve)
                 if cand is not None:
                     last_asens = state.node_count
-                    pool.submit(cand)
+                    submit(cand)
             if (
                 run_lns
                 and config.enable_rins
@@ -409,28 +416,20 @@ def solve(
                 cand = lns.rins(pool.incumbent_point, x_relax, problem, subsolve)
                 if cand is not None:
                     last_rins = state.node_count
-                    pool.submit(cand)
+                    submit(cand)
             if run_lns and config.enable_undercover and not undercover_done:
                 reference = pool.best_reference()
                 if reference is not None:
                     undercover_done = True
                     cand = lns.undercover(problem, reference, deadline=deadline)
                     if cand is not None:
-                        pool.submit(cand)
-            if pure_qubo and pool.incumbent_point is not None:
-                try:
-                    improved = lns.bipartite_qubo_improve(
-                        original.terms_obj, original.d, pool.incumbent_point
-                    )
-                    pool.submit(improved)
-                except ValueError:  # non-bipartite interaction graph
-                    pure_qubo = False
+                        submit(cand)
 
             k = most_fractional(x_relax, region0.integer_mask)
             if k is not None:
                 # children split the active set the relaxation ended with
                 node.active_set = result.active_set
-                down, up = branch(node, k, x_relax, index_start=state.node_count)
+                down, up = branch(node, k, x_relax)
                 stack.append(up)
                 stack.append(down)  # down branch explored first
 

@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-undercover", action="store_true")
     s.add_argument("--no-rins", action="store_true")
     s.add_argument("--no-ftg", action="store_true")
-    s.add_argument("--qubo-bipartite", action="store_true")
     s.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     m = sub.add_parser("metrics", help="aggregate run reports")
@@ -74,7 +73,6 @@ def _solve(args: argparse.Namespace) -> int:
             enable_undercover=not args.no_undercover,
             enable_rins=not args.no_rins,
             enable_ftg=not args.no_ftg,
-            enable_qubo_bipartite=args.qubo_bipartite,
         )
         report = run_portfolio(problem, config)
     except (ParseError, OSError, ValueError) as exc:

@@ -30,7 +30,6 @@ class Config:
     enable_undercover: bool = True
     enable_rins: bool = True
     enable_ftg: bool = True
-    enable_qubo_bipartite: bool = False  # outperformed by the other heuristics
     enable_lns: bool = True  # master switch, off inside recursive sub-solves
 
     def __post_init__(self) -> None:
@@ -47,6 +46,15 @@ class Config:
             raise ValueError("convexification proportions must lie in [0, 1]")
         if not (10 <= self.restart_interval <= 1000):
             raise ValueError("restart interval must lie in [10, 1000]")
+        if self.seed < 0:  # numpy's generators refuse a negative seed mid-run
+            raise ValueError("seed must be nonnegative")
+        if self.fw_iter < 0:
+            raise ValueError("FW iteration budget must be nonnegative")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node limit must be nonnegative")
+        # a NaN or infinite reference would write NaN into the report's metrics
+        if self.reference is not None and not math.isfinite(self.reference):
+            raise ValueError("reference objective must be finite")
 
     def for_worker(self, index: int, p: float | None = None) -> "Config":
         return replace(self, seed=self.seed + index, p=p if p is not None else self.p)
@@ -66,6 +74,5 @@ class Config:
                 "undercover": self.enable_undercover,
                 "rins": self.enable_rins,
                 "ftg": self.enable_ftg,
-                "qubo_bipartite": self.enable_qubo_bipartite,
             },
         }

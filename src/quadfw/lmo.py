@@ -376,7 +376,9 @@ def mip_lmo(
 
     A search stopped after ``MIP_NODE_CAP`` nodes or at ``deadline`` (a
     ``time.monotonic()`` reading) returns its incumbent with status
-    ``timeout``, or no point (``trusted`` False) when it has none.
+    ``timeout``, or no point (``trusted`` False) when it has none.  A
+    search in which an LP failed returns its incumbent, possibly none,
+    with status ``error``.
     """
     direction = np.asarray(direction, dtype=float)
     int_mask = region.integer_mask
@@ -436,9 +438,9 @@ def mip_lmo(
 
     if timed_out:
         return MipResult(incumbent, incumbent_val, "timeout", trusted=incumbent is not None)
+    if any_lp_error:  # a failed LP's subtree went unsearched
+        return MipResult(incumbent, incumbent_val, "error")
     if incumbent is None:
-        if any_lp_error:
-            return MipResult(None, math.inf, "error")
         return MipResult(None, math.inf, "infeasible")
     return MipResult(incumbent, incumbent_val, "optimal")
 

@@ -1,6 +1,6 @@
-"""Primal heuristics: roundings, follow-the-gradient, and the large
-neighborhood searches (ASENS, Undercover, RINS) plus a bipartite QUBO
-alternation improver.
+"""Primal heuristics: roundings, follow-the-gradient, the large
+neighborhood searches (ASENS, Undercover, RINS) and a 1-flip descent
+that improves binary points.
 
 Heuristics never write incumbents directly: every candidate goes through
 the caller-supplied submit callback, which evaluates the original
@@ -28,6 +28,8 @@ from .model import Problem, VarKind
 from .penalty import SmoothObjective
 
 AGREEMENT_TOL = 1e-6
+# least objective decrease a 1-flip move must give
+IMPROVE_TOL = 1e-9
 # node limit of one sub-MIQCQP solve
 SUBPROBLEM_NODE_CAP = 200
 
@@ -296,61 +298,38 @@ def undercover(
 
 
 # ---------------------------------------------------------------------------
-# bipartite QUBO alternation
+# 1-flip descent
 # ---------------------------------------------------------------------------
 
 
-def bipartite_qubo_improve(
-    terms: list[tuple[int, int, float]],
+def one_flip_descent(
+    q_mat: np.ndarray,
     d: np.ndarray,
-    x0: np.ndarray,
-    max_sweeps: int = 100,
+    x: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
 ) -> np.ndarray:
-    """Alternating exact optimization over the two sides of a bipartite
-    interaction graph (x^2 = x on binaries).
+    """Best-improvement descent on 0.5 x'Qx + d'x from a 0/1 point,
+    flipping only the binaries with ``lb < ub``.
 
-    A variable flips to 1 when its effective linear coefficient is
-    negative, to 0 when positive, and stays put at exactly zero, so the
-    objective never increases.  Raises ValueError on non-bipartite input.
+    Flipping x_i changes the value by delta * g_i + Q_ii / 2, with
+    delta = 1 - 2 x_i and g = Qx + d, so each step scores every flip in
+    O(n), takes the best (lowest index among ties) and updates g.  Stops
+    at a 1-flip local optimum: no flip lowers the value by more than
+    ``IMPROVE_TOL``.
     """
-    n = len(d)
-    adj: dict[int, list[tuple[int, float]]] = {k: [] for k in range(n)}
-    diag = np.zeros(n)
-    for (i, j, q) in terms:
-        if i == j:
-            diag[i] += q
-        else:
-            adj[i].append((j, q))
-            adj[j].append((i, q))
-
-    color = np.full(n, -1, dtype=int)
-    for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for (w, _) in adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise ValueError("interaction graph is not bipartite")
-
-    x = np.round(np.asarray(x0, dtype=float)).clip(0.0, 1.0)
-    sides = (np.flatnonzero(color == 0), np.flatnonzero(color == 1))
-    for _ in range(max_sweeps):
-        changed = False
-        for side in sides:
-            for i in side:
-                coef = d[i] + diag[i] + sum(q * x[j] for (j, q) in adj[i])
-                if coef < 0 and x[i] != 1.0:
-                    x[i] = 1.0
-                    changed = True
-                elif coef > 0 and x[i] != 0.0:
-                    x[i] = 0.0
-                    changed = True
-        if not changed:
-            break
-    return x
+    x = np.array(x, dtype=float)
+    free = np.flatnonzero(lb < ub)
+    if not len(free):
+        return x
+    half_diag = 0.5 * np.diag(q_mat)[free]
+    g = q_mat @ x + d
+    while True:
+        delta = 1.0 - 2.0 * x[free]
+        change = delta * g[free] + half_diag
+        k = int(np.argmin(change))
+        if change[k] >= -IMPROVE_TOL:
+            return x
+        i = free[k]
+        g += delta[k] * q_mat[:, i]
+        x[i] += delta[k]

@@ -20,7 +20,7 @@ from quadfw.bnb import (
 from quadfw.config import Config
 from quadfw.fw import ActiveSet
 from quadfw.lmo import MipResult, most_fractional, vertex_key
-from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
+from quadfw.model import Problem, QuadConstraint, VarKind, assemble_symmetric, check_feasibility
 from quadfw.oracle import brute_force
 from quadfw.penalty import SmoothObjective
 from quadfw.portfolio import run_portfolio
@@ -78,7 +78,7 @@ class TestSelectBranching:
 class TestBranch:
     def parent(self, vertices, weights):
         active = ActiveSet(vertices, weights)
-        return Node(np.zeros(2), np.ones(2), active, depth=1, index=0)
+        return Node(np.zeros(2), np.ones(2), active, depth=1)
 
     def test_partition_by_coordinate(self):
         node = self.parent([np.array([0.0, 1.0]), np.array([1.0, 0.0])], [0.4, 0.6])
@@ -294,21 +294,58 @@ class TestSolve:
         assert warm_roots
 
     def test_qubo_improver_on_bipartite_instance(self):
-        # x0 connected to x1, x2: bipartite; improver refines incumbents
+        # x0 connected to x1, x2: bipartite; the 1-flip descent refines
+        # incumbents with no option set
         p = binary_problem(3, [(0, 1, 2.0), (0, 2, -3.0)], [-0.5, 0.4, 0.2])
-        cfg = Config(workers=1, time_limit=5.0, node_limit=30,
-                     enable_qubo_bipartite=True)
+        cfg = Config(workers=1, time_limit=5.0, node_limit=30)
         trace = solve(p, cfg)
         oracle = brute_force(p)
         assert trace.incumbent_value == pytest.approx(oracle.value, abs=1e-9)
 
-    def test_qubo_improver_skipped_on_non_bipartite(self):
-        triangle = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
-        p = binary_problem(3, triangle, [-0.6, -0.6, -0.6])
-        cfg = Config(workers=1, time_limit=5.0, node_limit=30,
-                     enable_qubo_bipartite=True)
-        trace = solve(p, cfg)  # must not raise
-        assert trace.incumbent_value is not None
+    def test_descent_runs_once_per_new_incumbent(self, monkeypatch):
+        inputs, outputs = [], []
+        real = lns.one_flip_descent
+
+        def spy(q_mat, d, x, lb, ub):
+            inputs.append(x.copy())
+            outputs.append(real(q_mat, d, x, lb, ub))
+            return outputs[-1]
+
+        monkeypatch.setattr(lns, "one_flip_descent", spy)
+        p = random_binary_qp(np.random.default_rng(3), 12)  # dense, not bipartite
+        trace = solve(p, Config(workers=1, time_limit=60.0, node_limit=30))
+        # each incumbent is either a descent's result, or a point the
+        # descent starts from at once; sub-solves run no descent
+        calls = 0
+        from_descent = 0
+        for point in trace.event_points:
+            if calls and np.array_equal(point, outputs[calls - 1]):
+                from_descent += 1
+                continue
+            assert np.array_equal(point, inputs[calls])
+            calls += 1
+        assert calls == len(inputs) >= 1
+        assert from_descent >= 1
+        # so the last incumbent is a 1-flip local optimum
+        q_mat = assemble_symmetric(p.n, p.terms_obj)
+        best = trace.incumbent_point
+        for i in range(p.n):
+            y = best.copy()
+            y[i] = 1.0 - y[i]
+            assert 0.5 * y @ q_mat @ y + p.d @ y + p.c0 >= trace.incumbent_value - 1e-9
+
+    @pytest.mark.parametrize("case", ["rows", "no_lns"])
+    def test_no_descent_with_rows_or_without_lns(self, monkeypatch, case):
+        calls = []
+        monkeypatch.setattr(lns, "one_flip_descent", lambda *args: calls.append(1))
+        p = random_binary_qp(np.random.default_rng(3), 6)
+        cfg = Config(workers=1, time_limit=60.0, node_limit=20)
+        if case == "rows":
+            p = replace(p, constraints=[QuadConstraint([], {0: 1.0, 1: 1.0}, -1.0)])
+        else:
+            cfg = replace(cfg, enable_lns=False)
+        assert solve(p, cfg).incumbent_value is not None
+        assert not calls
 
     def test_store_publishes_incumbents(self):
         rng = np.random.default_rng(19)

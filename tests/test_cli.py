@@ -128,6 +128,29 @@ class TestSolveCommand:
         assert report["status"] == "error"
         assert "penalty exponents" in report["termination"]
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ref", "nan", "reference objective"),
+        ("--ref", "inf", "reference objective"),
+        ("--node-limit", "-3", "node limit"),
+        ("--fw-iter", "-1", "iteration budget"),
+        ("--seed", "-1", "seed"),
+    ], ids=["ref_nan", "ref_inf", "negative_node_limit", "negative_fw_iter", "negative_seed"])
+    def test_invalid_config_value_exit_code(self, tmp_path, capsys, flag, value, message):
+        inst = tmp_path / "quad.qfw"
+        inst.write_text(QUADRATIC_ROW)
+        assert main(["solve", str(inst), "--workers", "1", "--time-limit", "5",
+                     flag, value]) == 1
+        report = json.loads(capsys.readouterr().err, parse_constant=pytest.fail)
+        assert report["status"] == "error"
+        assert message in report["termination"]
+
+    def test_removed_flag_is_a_usage_error(self, tmp_path):
+        inst = tmp_path / "inst.qfw"
+        inst.write_text(INSTANCE)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(inst), "--qubo-bipartite"])
+        assert exc.value.code == 2
+
     def test_point_on_artificial_bound_is_reported(self, tmp_path):
         inst = tmp_path / "free.qfw"
         inst.write_text(FREE_VARIABLE)
@@ -159,13 +182,13 @@ class TestSolveCommand:
         inst.write_text(INSTANCE)
         code = main(["solve", str(inst), "--workers", "1", "--time-limit", "2",
                      "--node-limit", "10", "--no-asens", "--no-undercover",
-                     "--no-rins", "--no-ftg", "--qubo-bipartite",
+                     "--no-rins", "--no-ftg",
                      "--p", "1.3,1.6", "--ell", "0.7,0.9",
                      "--out", str(tmp_path / "r.json")])
         assert code == 0
         config = json.loads((tmp_path / "r.json").read_text())["config"]
         assert config["heuristics"] == {"asens": False, "undercover": False, "rins": False,
-                                        "ftg": False, "qubo_bipartite": True}
+                                        "ftg": False}
         assert config["p_grid"] == [1.3, 1.6]
         assert config["ell_grid"] == [0.7, 0.9]
 

@@ -390,6 +390,26 @@ class TestMipLmo:
         assert res.value == 0.0
         assert region.contains(res.point, int_tol=1e-6)
 
+    def test_failed_lp_is_reported_as_error(self, monkeypatch):
+        # the 2nd LP is the down child x0 <= 0, whose subtree holds the
+        # optimum (0, 1) at -1.1; the rest of the search finds (1, 0) at -1
+        real = lmo.solve_lp
+        calls = []
+
+        def failing_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                return lmo.LpResult(None, np.inf, "error")
+            return real(*args)
+
+        monkeypatch.setattr(lmo, "solve_lp", failing_second)
+        region = Region(np.zeros(2), np.ones(2), [[2.0, 2.0]], [3.0], np.ones(2, dtype=bool))
+        res = mip_lmo(np.array([-1.0, -1.1]), region)
+        assert res.status == "error"
+        assert res.trusted
+        assert np.array_equal(res.point, [1.0, 0.0])
+        assert res.value == pytest.approx(-1.0)
+
     def test_infeasible_region(self):
         region = box([0], [1], integer=[True], a=[[1.0]], b=[-0.5])
         res = mip_lmo(np.array([1.0]), region)

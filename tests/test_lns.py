@@ -9,14 +9,14 @@ from quadfw.lmo import Region
 from quadfw.lns import (
     NonlinearityGraph,
     asens,
-    bipartite_qubo_improve,
     follow_the_gradient,
     minimum_vertex_cover,
+    one_flip_descent,
     probability_rounding,
     rins,
     undercover,
 )
-from quadfw.model import Problem, VarKind, eval_objective
+from quadfw.model import Problem, VarKind, assemble_symmetric, eval_objective
 from quadfw.penalty import SmoothObjective
 
 
@@ -276,30 +276,58 @@ class TestUndercoverForcedVertices:
         assert graph.leaves_linear(cover)
 
 
+def qubo_value(terms, d, x):
+    return sum(q * x[i] * x[j] for (i, j, q) in terms) + float(d @ x)
+
+
+def descend(terms, d, x0, lb=None, ub=None):
+    n = len(d)
+    lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
+    ub = np.ones(n) if ub is None else np.asarray(ub, dtype=float)
+    return one_flip_descent(assemble_symmetric(n, terms), np.asarray(d, dtype=float),
+                            np.asarray(x0, dtype=float), lb, ub)
+
+
+def random_qubo(rng, n, bipartite):
+    """Terms on the pairs across two sides of n (bipartite) or on all
+    pairs and diagonals, each present with probability 0.6."""
+    n_left = n // 2
+    pairs = ([(i, j) for i in range(n_left) for j in range(n_left, n)] if bipartite
+             else [(i, j) for i in range(n) for j in range(i, n)])
+    terms = [(i, j, float(rng.normal())) for (i, j) in pairs if rng.random() < 0.6]
+    return terms, rng.normal(size=n)
+
+
+def assert_one_flip_optimal(terms, d, x, free):
+    value = qubo_value(terms, d, x)
+    for i in np.flatnonzero(free):
+        y = x.copy()
+        y[i] = 1.0 - y[i]
+        assert qubo_value(terms, d, y) >= value - 1e-9
+
+
 class TestBipartiteQubo:
+    """The 1-flip descent on bipartite QUBOs."""
+
     def test_hand_trace(self):
+        # from (1, 1) at -0.2 both flips reach -0.6; the lowest index flips,
+        # and from (0, 1) both flips raise the value
         terms = [(0, 1, 1.0)]
         d = np.array([-0.6, -0.6])
-        out = bipartite_qubo_improve(terms, d, np.array([1.0, 1.0]))
+        out = descend(terms, d, [1.0, 1.0])
         assert np.array_equal(out, [0.0, 1.0])
-        value = sum(q * out[i] * out[j] for (i, j, q) in terms) + d @ out
-        assert value == pytest.approx(-0.6)
+        assert qubo_value(terms, d, out) == pytest.approx(-0.6)
 
     def test_local_optimum_unchanged(self):
         terms = [(0, 1, 2.0)]
         d = np.array([-1.0, 1.0])
         start = np.array([1.0, 0.0])
-        out = bipartite_qubo_improve(terms, d, start)
+        out = descend(terms, d, start)
         assert np.array_equal(out, start)
 
     def test_zero_objective_any_fixed_point(self):
-        out = bipartite_qubo_improve([], np.zeros(3), np.array([1.0, 0.0, 1.0]))
+        out = descend([], np.zeros(3), [1.0, 0.0, 1.0])
         assert np.array_equal(out, [1.0, 0.0, 1.0])
-
-    def test_non_bipartite_rejected(self):
-        triangle = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
-        with pytest.raises(ValueError):
-            bipartite_qubo_improve(triangle, np.zeros(3), np.zeros(3))
 
     def test_objective_never_increases(self):
         rng = np.random.default_rng(5)
@@ -311,10 +339,62 @@ class TestBipartiteQubo:
                      if rng.random() < 0.7]
             d = rng.normal(size=n)
             x0 = rng.integers(0, 2, size=n).astype(float)
+            out = descend(terms, d, x0)
+            assert qubo_value(terms, d, out) <= qubo_value(terms, d, x0) + 1e-12
 
-            def value(x):
-                return sum(q * x[i] * x[j] for (i, j, q) in terms) + float(d @ x)
 
-            out = bipartite_qubo_improve(terms, d, x0)
-            assert value(out) <= value(x0) + 1e-12
+class TestOneFlipDescent:
+    def test_hand_trace_with_diagonal(self):
+        # value = x0^2 + 2 x0 x1 - 3 x1 - x0 = -x1 + 2 x0 x1 on 0/1 (x0^2 = x0).
+        # From (0, 0): flipping x0 changes the value by 0, x1 by -3, so x1
+        # flips; then flipping x0 changes it by +2 and x1 by +3: stop at -3.
+        terms = [(0, 0, 1.0), (0, 1, 2.0)]
+        d = np.array([-1.0, -3.0])
+        out = descend(terms, d, [0.0, 0.0])
+        assert np.array_equal(out, [0.0, 1.0])
+        assert qubo_value(terms, d, out) == pytest.approx(-3.0)
 
+    def test_best_flip_goes_first(self):
+        # from (0, 0) both flips improve, x1 (by 3) more than x0 (by 1);
+        # after x1 flips, x0 would add -1 + 5: stop at (0, 1), not (1, 0)
+        terms = [(0, 1, 5.0)]
+        d = np.array([-1.0, -3.0])
+        out = descend(terms, d, [0.0, 0.0])
+        assert np.array_equal(out, [0.0, 1.0])
+
+    def test_fixed_coordinate_never_flips(self):
+        # flipping x0 alone would lower the value by 5, but lb == ub there
+        terms = [(0, 1, -1.0)]
+        d = np.array([-5.0, 0.5])
+        out = descend(terms, d, [0.0, 0.0], lb=[0.0, 0.0], ub=[0.0, 1.0])
+        assert out[0] == 0.0
+        out = descend(terms, d, [1.0, 1.0], lb=[1.0, 0.0], ub=[1.0, 1.0])
+        assert np.array_equal(out, [1.0, 1.0])
+
+    @pytest.mark.parametrize("bipartite", [True, False])
+    def test_random_qubos_end_at_a_local_optimum(self, bipartite):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(2, 20))
+            terms, d = random_qubo(rng, n, bipartite)
+            x0 = rng.integers(0, 2, size=n).astype(float)
+            fixed = rng.random(n) < 0.2
+            lb, ub = np.where(fixed, x0, 0.0), np.where(fixed, x0, 1.0)
+            out = descend(terms, d, x0, lb=lb, ub=ub)
+            assert qubo_value(terms, d, out) <= qubo_value(terms, d, x0) + 1e-12
+            assert np.array_equal(out[lb == ub], x0[lb == ub])
+            assert_one_flip_optimal(terms, d, out, lb < ub)
+
+    def test_start_point_is_not_modified(self):
+        start = np.array([1.0, 1.0])
+        descend([(0, 1, 1.0)], np.array([-0.6, -0.6]), start)
+        assert np.array_equal(start, [1.0, 1.0])
+
+    def test_no_variables(self):
+        out = one_flip_descent(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
+        assert out.shape == (0,)
+
+    def test_no_free_binaries(self):
+        out = descend([(0, 1, -1.0)], np.array([-1.0, -1.0]), [0.0, 0.0],
+                      lb=[0.0, 0.0], ub=[0.0, 0.0])
+        assert np.array_equal(out, [0.0, 0.0])
