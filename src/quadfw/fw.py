@@ -194,17 +194,21 @@ def bpcg(
     Raises :class:`RegionInfeasible` when the LMO returns no vertex: the
     region is empty, or the MIP search stopped before finding one.  The
     global gap estimate is <grad, x - v> from the most recent true LMO
-    call.
+    call.  Only a gap from an ``optimal`` LMO answer ends the run as
+    ``converged``: a vertex from a stopped or failed MIP search may not
+    be the minimizer, so its gap can be too small.
     """
     discovered: list[np.ndarray] = []
     lmo_calls = 0
+    proven = False  # the most recent true LMO call was optimal
 
     def full_lmo(direction: np.ndarray) -> np.ndarray:
-        nonlocal lmo_calls
+        nonlocal lmo_calls, proven
         lmo_calls += 1
         res = mip_lmo(direction, region, deadline=deadline)
         if res.point is None:
             raise RegionInfeasible(f"LMO returned no vertex ({res.status})")
+        proven = res.status == "optimal"
         discovered.append(res.point)
         if cache is not None:
             cache.insert(res.point)
@@ -240,7 +244,7 @@ def bpcg(
     iterations = 0
 
     for _ in range(max_iter):
-        if phi <= eps:
+        if phi <= eps and proven:
             status = "converged"
             break
         if time.monotonic() > deadline:
@@ -266,7 +270,7 @@ def bpcg(
                 phi_stale = phi
                 v = full_lmo(grad)
                 phi = float(grad @ (x - v))
-                if phi <= eps:
+                if phi <= eps and proven:
                     trace.append(f_x)
                     status = "converged"
                     break
@@ -283,7 +287,7 @@ def bpcg(
                 v = full_lmo(grad)
                 fresh = True
                 phi = float(grad @ (x - v))
-                if phi <= eps:
+                if phi <= eps and proven:
                     trace.append(f_x)
                     status = "converged"
                     break

@@ -15,7 +15,11 @@ Three layers:
   and goes on from that basis (a cycle on loosened rows restarts once from
   the slack basis).  It stops at a pivot once its stop time has passed,
   keeps the basis inverse under rank-one updates and makes one
-  ``np.linalg.solve`` per LP, on the final basis, for the point,
+  ``np.linalg.solve`` per LP, on the final basis, for the point.  It runs
+  on the region's row block (``[a I]``, the slack basis and the slack
+  bounds), which a region builds once and shares with its
+  ``with_bounds`` copies, so the nodes of one MIP search, every MIP
+  search over one region and the tree nodes cut from it build it once,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
   pruning on the LP bound, each child's LP started from its parent's
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,13 +55,35 @@ MIP_NODE_CAP = 1000
 LP_PIVOT_CAP = 20000
 
 
+class _RowBlock:
+    """What every LP over the rows ``a @ x <= b`` has in common, whatever
+    its bounds and cost: the matrix ``[a I]`` of the columns and their
+    slacks, the slack basis, and templates of the extended bounds whose
+    slack parts (``0 <= s < inf``) are filled in."""
+
+    __slots__ = ("mat", "slack", "identity", "lo", "hi")
+
+    def __init__(self, a: np.ndarray) -> None:
+        m, n = a.shape
+        self.mat = np.hstack([a, np.eye(m)])
+        self.slack = np.arange(n, n + m)
+        # the slack basis's inverse, shared: a pivot writes only into the
+        # new inverse its update makes
+        self.identity = np.eye(m)
+        self.lo = np.zeros(n + m)
+        self.hi = np.concatenate([np.zeros(n), np.full(m, np.inf)])
+
+
 @dataclass
 class Region:
     """Box bounds, the rows ``a @ x <= b`` and integrality over a fixed
     variable set.
 
     ``a`` has shape ``(len(b), n)``; omitting ``a`` and ``b`` gives a
-    region without rows.
+    region without rows.  The LP row block (``[a I]`` and the slack
+    bounds) is built once, on first use, and shared with every
+    ``with_bounds`` copy, so the nodes of a search over one region build
+    it once.  The fields are not to be changed in place after that.
     """
 
     lb: np.ndarray
@@ -65,6 +91,9 @@ class Region:
     a: np.ndarray | None = None
     b: np.ndarray | None = None
     integer_mask: np.ndarray | None = None
+    _block: _RowBlock | None = field(default=None, init=False, repr=False, compare=False)
+    # set by mip_lmo on its node copies, whose bounds it has checked
+    _finite: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lb = np.asarray(self.lb, dtype=float)
@@ -82,8 +111,24 @@ class Region:
     def n(self) -> int:
         return len(self.lb)
 
+    def row_block(self) -> _RowBlock:
+        """The LP row block of the rows, built on first use."""
+        if self._block is None:
+            self._block = _RowBlock(self.a)
+        return self._block
+
     def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "Region":
-        return Region(lb, ub, self.a, self.b, self.integer_mask)
+        """This region on other bounds.  The copy shares the rows, the
+        mask and the row block (built here when there are rows), without
+        converting or checking them again."""
+        if len(self.b):
+            self.row_block()
+        region = object.__new__(Region)
+        region.__dict__.update(self.__dict__)
+        region.lb = np.asarray(lb, dtype=float)
+        region.ub = np.asarray(ub, dtype=float)
+        region._finite = False
+        return region
 
     def contains(self, x: np.ndarray, tol: float = ROW_FEASIBILITY_TOL,
                  int_tol: float | None = None) -> bool:
@@ -140,14 +185,16 @@ class LpResult:
     state: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray,
+def _dual_simplex(block: _RowBlock, b: np.ndarray, cost: np.ndarray, lb: np.ndarray,
                   ub: np.ndarray, stop_at: float,
                   start: tuple[np.ndarray, np.ndarray] | None = None,
                   ) -> tuple[str, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None]:
     """Dense bounded dual simplex for min cost'x over ``a @ x + s = b``,
-    ``lb <= x <= ub`` (finite), ``s >= 0``.
+    ``lb <= x <= ub`` (finite), ``s >= 0``, on the row block of ``a``.
 
-    Starts from ``start``, a ``(basis, at_upper)`` state that is dual
+    The block holds ``[a I]`` and the slack bounds, which every LP over
+    these rows shares; a run adds only the cost and the bounds of ``x``.
+    It starts from ``start``, a ``(basis, at_upper)`` state that is dual
     feasible for ``cost`` (an optimal state of the same cost under other
     bounds is), else from the slack basis with every column at the bound
     its cost favours (``box_lmo``'s point), which is dual feasible.  The
@@ -156,7 +203,9 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     per pivot; the basic values, duals and pivot row are read from it.
     When it shows no violated basic variable, one ``np.linalg.solve`` on
     the basis confirms that and gives the returned point; a failed
-    confirmation refactors the inverse and the run goes on.
+    confirmation refactors the inverse and the run goes on.  The mask of
+    the nonbasic columns that can move and the direction each would move
+    in are kept from pivot to pivot.
 
     Each pivot sends the most violated basic variable to the bound it
     violates; the bound-flipping ratio test walks the breakpoints
@@ -176,19 +225,31 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
     error, and the final ``(basis, at_upper)`` when optimal; a singular
     basis raises ``numpy.linalg.LinAlgError``.
     """
-    m, n = a.shape
-    mat = np.hstack([a, np.eye(m)])
-    lo = np.concatenate([lb, np.zeros(m)])
-    hi = np.concatenate([ub, np.full(m, np.inf)])
-    c = np.concatenate([cost, np.zeros(m)])
-    start_upper = np.concatenate([cost < 0, np.zeros(m, dtype=bool)])
+    n = len(lb)
+    mat = block.mat
+    lo = block.lo.copy()
+    lo[:n] = lb
+    hi = block.hi.copy()
+    hi[:n] = ub
+    c = np.concatenate([cost, np.zeros(len(b))])
+    start_upper = np.concatenate([cost < 0, np.zeros(len(b), dtype=bool)])
     movable = lo < hi
     width = hi - lo
+
+    def moves(basis: np.ndarray, at_upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # free: nonbasic and movable; sign: +1 at the lower bound, -1 at
+        # the upper, the way a column moves toward its other bound.  Each
+        # pivot updates both where it changes the state.
+        free = movable.copy()
+        free[basis] = False
+        return free, np.where(at_upper, -1.0, 1.0)
+
     if start is None:
-        basis, at_upper, inverse = np.arange(n, n + m), start_upper.copy(), np.eye(m)
+        basis, at_upper, inverse = block.slack.copy(), start_upper.copy(), block.identity
     else:
         basis, at_upper = start[0].copy(), start[1].copy()
         inverse = np.linalg.inv(mat[:, basis])
+    free, sign = moves(basis, at_upper)
     loosened = restarted = False
     seen: set[bytes] = set()  # (basis, at_upper) states since the last fault
     for _ in range(LP_PIVOT_CAP):
@@ -203,7 +264,8 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
             seen.clear()
             if loosened:  # a near-singular basis can cycle on loosened rows
                 restarted = True
-                basis, at_upper, inverse = np.arange(n, n + m), start_upper.copy(), np.eye(m)
+                basis, at_upper, inverse = block.slack.copy(), start_upper.copy(), block.identity
+                free, sign = moves(basis, at_upper)
                 continue
             b = b + 0.5 * ROW_FEASIBILITY_TOL
             loosened = True
@@ -214,31 +276,32 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
         x_b = inverse @ rest
         below = lo[basis] - x_b
         violation = np.maximum(below, x_b - hi[basis])
-        if violation.max() <= _LP_TOL:
-            x_b = np.linalg.solve(mat[:, basis], rest)
+        r = int(violation.argmax())
+        if violation[r] <= _LP_TOL:
+            columns = mat[:, basis]
+            x_b = np.linalg.solve(columns, rest)
             below = lo[basis] - x_b
             violation = np.maximum(below, x_b - hi[basis])
-            if violation.max() <= _LP_TOL:
+            r = int(violation.argmax())
+            if violation[r] <= _LP_TOL:
                 x[basis] = x_b
                 return "optimal", x[:n], (basis, at_upper)
-            inverse = np.linalg.inv(mat[:, basis])
-        r = int(np.argmax(violation))
+            inverse = np.linalg.inv(columns)
         sigma = 1.0 if below[r] > 0 else -1.0  # +1: leaves at its lower bound
         y = c[basis] @ inverse
         rho = inverse[r]
         d = c - y @ mat
         alpha = rho @ mat
         # a column whose move toward its other bound repairs the row
-        toward = np.where(at_upper, -sigma, sigma) * alpha
-        nonbasic = np.ones(n + m, dtype=bool)
-        nonbasic[basis] = False
-        eligible = np.nonzero(nonbasic & movable & (toward < -_LP_TOL))[0]
+        toward = sign * alpha if sigma > 0 else -(sign * alpha)
+        eligible = (free & (toward < -_LP_TOL)).nonzero()[0]
         steep = np.abs(alpha[eligible])
-        perm = np.argsort(np.abs(d[eligible]) / steep, kind="stable")
+        perm = (np.abs(d[eligible]) / steep).argsort(kind="stable")
         order = eligible[perm]
-        left = violation[r] - np.cumsum(steep[perm] * width[order])
-        absorbs = np.nonzero(left <= _LP_TOL)[0]
-        if not len(absorbs):
+        left = violation[r] - (steep[perm] * width[order]).cumsum()
+        # left falls along the walk, so it absorbs somewhere iff at its end
+        absorbs = left <= _LP_TOL
+        if not len(absorbs) or not absorbs[-1]:
             # A row met only to rounding (a coefficient at the pivot
             # tolerance) can keep about _LP_TOL of violation that no
             # eligible column may repair.  Loosening every row by half of
@@ -247,22 +310,29 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, lb: np.ndarray
             # it the right way could cover the violation, the state comes
             # back unchanged for the fault rule.  Loosened points are still
             # members of the region.
-            helps = nonbasic & movable & (toward < 0)
+            helps = free & (toward < 0)
             short = violation[r] - np.abs(alpha[helps]) @ width[helps]
             if loosened or short > 0.5 * ROW_FEASIBILITY_TOL * sigma * rho.sum():
                 return "infeasible", None, None
             continue
-        k = int(absorbs[0])
+        k = int(absorbs.argmax())
         enter = order[k]
-        at_upper[order[:k]] ^= True
-        at_upper[basis[r]] = sigma < 0
+        leave = basis[r]
+        passed = order[:k]
+        at_upper[passed] ^= True
+        sign[passed] = -sign[passed]
+        at_upper[leave] = sigma < 0
+        sign[leave] = sigma
+        free[leave] = movable[leave]
         at_upper[enter] = False
+        sign[enter] = 1.0
+        free[enter] = False
         basis[r] = enter
         # product-form update: row r becomes the pivot row scaled by the
         # entering column's entry, the others lose their multiple of it
         column = inverse @ mat[:, enter]
         pivot_row = rho / column[r]
-        inverse = inverse - np.outer(column, pivot_row)
+        inverse = inverse - column[:, np.newaxis] * pivot_row
         inverse[r] = pivot_row
     return "error", None, None
 
@@ -271,30 +341,33 @@ def solve_lp(direction: np.ndarray, region: Region, stop_at: float = math.inf,
              start: tuple[np.ndarray, np.ndarray] | None = None) -> LpResult:
     """Minimize direction'x over the region's rows and bounds.
 
-    Falls back to the coordinatewise box rule when there are no rows.
-    ``start`` is a ``(basis, at_upper)`` state for the dual simplex, such
-    as the ``state`` of an optimal ``LpResult`` of the same direction over
-    other bounds; an optimal result carries its own.  A simplex still
-    running at ``stop_at`` (a ``time.monotonic()`` reading) returns status
+    Falls back to the coordinatewise box rule when there are no rows;
+    otherwise the dual simplex runs on the region's row block, which the
+    region shares with its ``with_bounds`` copies.  ``start`` is a
+    ``(basis, at_upper)`` state for the dual simplex, such as the
+    ``state`` of an optimal ``LpResult`` of the same direction over other
+    bounds; an optimal result carries its own.  A simplex still running
+    at ``stop_at`` (a ``time.monotonic()`` reading) returns status
     ``error``.  Raises ``ValueError`` on an infinite bound: the dual
     simplex starts at a box vertex.
     """
     direction = np.asarray(direction, dtype=float)
     lb, ub = region.lb, region.ub
-    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+    if not (region._finite or (np.isfinite(lb).all() and np.isfinite(ub).all())):
         raise ValueError("solve_lp needs finite bounds")
-    if np.any(lb > ub + 1e-12):
+    if (lb > ub + 1e-12).any():
         return LpResult(None, math.inf, "infeasible")
     if not len(region.b):
         x = box_lmo(direction, region)
         return LpResult(x, float(direction @ x), "optimal")
 
     try:
-        status, x, state = _dual_simplex(region.a, region.b, direction, lb, ub, stop_at, start)
+        status, x, state = _dual_simplex(region.row_block(), region.b, direction, lb, ub,
+                                         stop_at, start)
     except np.linalg.LinAlgError:
         return LpResult(None, math.inf, "error")
     if status == "optimal":
-        x = np.clip(x, lb, ub)
+        x = x.clip(lb, ub)
         return LpResult(x, float(direction @ x), "optimal", state)
     return LpResult(None, math.inf, status)
 
@@ -389,6 +462,9 @@ def mip_lmo(
     if not len(region.b):
         x = box_lmo(direction, region.with_bounds(lb, ub))
         return MipResult(x, float(direction @ x), "optimal")
+    # the rounding of finite LP values keeps every node's bounds finite
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+        raise ValueError("mip_lmo needs finite bounds")
 
     # (lb, ub, the parent LP's final state): the parent's optimal basis is
     # dual feasible for a child, whose cost is the same
@@ -405,7 +481,9 @@ def mip_lmo(
             break
         node_lb, node_ub, start = stack.pop()
         nodes += 1
-        res = solve_lp(direction, region.with_bounds(node_lb, node_ub), deadline, start)
+        node = region.with_bounds(node_lb, node_ub)
+        node._finite = True
+        res = solve_lp(direction, node, deadline, start)
         if res.status == "infeasible":
             continue
         if res.status == "error":

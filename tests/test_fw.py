@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfw import fw
+from quadfw import fw, lmo
 from quadfw.fw import ActiveSet, RegionInfeasible, bpcg, secant_step
 from quadfw.lmo import MipResult, Region, VertexCache, vertex_key
 from quadfw.model import Problem, QuadConstraint, VarKind
@@ -122,6 +122,32 @@ class TestBpcg:
         res = bpcg(obj, box_region([0, 0], [1, 1]), warm=warm, max_iter=10, eps=1e-6)
         assert res.iterations <= 2
         assert res.dual_gap <= 1e-6
+
+    def test_gap_from_a_failed_lmo_does_not_converge(self, monkeypatch):
+        # The 2nd LP of the first MIP search fails, as in test_lmo's
+        # test_failed_lp_is_reported_as_error: that search returns (1, 0),
+        # status error, which is the warm start, so the gap reads 0 though
+        # (0, 1) at -1.1 is the minimizer.  The run must go on, and its
+        # next LMO call finds (0, 1).
+        real = lmo.solve_lp
+        calls = []
+
+        def failing_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                return lmo.LpResult(None, np.inf, "error")
+            return real(*args)
+
+        monkeypatch.setattr(lmo, "solve_lp", failing_second)
+        prob = Problem(n=2, terms_obj=[], d=np.array([-1.0, -1.1]), c0=0.0,
+                       constraints=[], lb=np.zeros(2), ub=np.ones(2),
+                       integrality=[VarKind.BINARY] * 2)
+        region = Region(np.zeros(2), np.ones(2), [[2.0, 2.0]], [3.0], np.ones(2, dtype=bool))
+        warm = ActiveSet.from_vertex(np.array([1.0, 0.0]))
+        res = bpcg(SmoothObjective(prob, p=1.5), region, warm=warm, max_iter=1, eps=1e-6)
+        assert res.status != "converged"
+        assert np.array_equal(res.vertices[0], [1.0, 0.0])
+        assert any(np.array_equal(v, [0.0, 1.0]) for v in res.vertices)
 
     def test_single_iteration_budget(self):
         obj = quadratic_objective([1.0, 1.0], [0.5, 0.5], 2)

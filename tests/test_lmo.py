@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from quadfw import lmo
 from quadfw.bnb import SolutionPool, SolveTrace
-from quadfw.fw import ActiveSet
+from quadfw.fw import ActiveSet, bpcg
 from quadfw.lmo import (
     INT_TOL,
     ROW_FEASIBILITY_TOL,
@@ -25,6 +25,7 @@ from quadfw.lmo import (
     solve_lp,
 )
 from quadfw.model import Problem, VarKind
+from quadfw.penalty import SmoothObjective
 
 
 def box(lb, ub, integer=None, a=None, b=None):
@@ -500,6 +501,112 @@ class TestMipLmo:
         assert res.status == "timeout"
         assert res.point is None
         assert not res.trusted
+
+
+@st.composite
+def _shared_block_case(draw):
+    """An LP shaped like the ``scripts/lp_fingerprint.py`` families: rows
+    tight at an integer point, coefficients from N(0, 1), +-1e-9, +-1e-6,
+    zeros and small integers, bounds [0, 1..3]; and one bound tightened by
+    one unit, as a branch does."""
+    n, m = draw(st.integers(2, 8)), draw(st.integers(1, 9))
+    coef = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
+                     st.sampled_from([1e-9, -1e-9, 1e-6, -1e-6, 0.0]),
+                     st.integers(-2, 2).map(float))
+    a = np.array(draw(st.lists(coef, min_size=m * n, max_size=m * n))).reshape(m, n)
+    ub = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+    point = np.array([draw(st.integers(0, int(u))) for u in ub], dtype=float)
+    slack = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=m, max_size=m)))
+    cost = np.array(draw(st.lists(coef, min_size=n, max_size=n)))
+    j = draw(st.integers(0, n - 1))
+    child_lb, child_ub = np.zeros(n), ub.copy()
+    if draw(st.booleans()):
+        child_ub[j] -= 1.0
+    else:
+        child_lb[j] += 1.0
+    return a, a @ point + slack, cost, ub, child_lb, child_ub
+
+
+def _bits(res):
+    """Everything an LpResult holds, bit for bit."""
+    state = None if res.state is None else tuple(part.tobytes() for part in res.state)
+    point = None if res.point is None else res.point.tobytes()
+    return res.status, repr(res.value), point, state
+
+
+class TestRowBlock:
+    def test_copies_share_the_block_and_other_rows_do_not(self):
+        region = box([0, 0], [1, 1], a=[[1.0, 1.0]], b=[1.0])
+        copy = region.with_bounds(np.zeros(2), np.array([1.0, 0.0]))
+        assert copy.row_block() is region.row_block()
+        assert copy.with_bounds(np.zeros(2), np.ones(2)).row_block() is region.row_block()
+        other = box([0, 0], [1, 1], a=[[1.0, -1.0]], b=[1.0])
+        assert other.row_block() is not region.row_block()
+        assert np.array_equal(region.row_block().mat, [[1.0, 1.0, 1.0]])
+        assert np.array_equal(other.row_block().mat, [[1.0, -1.0, 1.0]])
+
+    def test_one_build_per_row_block_over_a_bpcg_run(self, monkeypatch):
+        builds = []
+
+        class CountedBlock(lmo._RowBlock):
+            __slots__ = ()
+
+            def __init__(self, a):
+                builds.append(1)
+                super().__init__(a)
+
+        monkeypatch.setattr(lmo, "_RowBlock", CountedBlock)
+        rng = np.random.default_rng(41)
+        n = 5
+        region = Region(np.zeros(n), 2 * np.ones(n), rng.normal(size=(3, n)),
+                        np.ones(3), np.ones(n, dtype=bool))
+        q = rng.normal(size=(n, n))
+        terms = [(i, j, q[i, j] + q[j, i] if i != j else q[i, i])
+                 for i in range(n) for j in range(i, n)]
+        prob = Problem(n=n, terms_obj=terms, d=rng.normal(size=n), c0=0.0,
+                       constraints=[], lb=np.zeros(n), ub=2 * np.ones(n),
+                       integrality=[VarKind.CONTINUOUS] * n)
+        lps = []
+        real = lmo.solve_lp
+
+        def counted_lp(*args):
+            lps.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(lmo, "solve_lp", counted_lp)
+        res = bpcg(SmoothObjective(prob, p=1.5), region, max_iter=30, eps=1e-9)
+        assert res.lmo_calls >= 3
+        assert len(lps) > res.lmo_calls  # the MIP searches branched
+        assert len(builds) == 1
+        assert all(node.row_block() is region.row_block() for node in lps)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_shared_block_case())
+    def test_a_shared_block_solves_bit_for_bit_as_a_fresh_one(self, case):
+        a, b, cost, ub, child_lb, child_ub = case
+        parent = Region(np.zeros(len(ub)), ub, a, b)
+        cold = solve_lp(cost, parent)
+        shared = parent.with_bounds(child_lb, child_ub)
+        fresh = Region(child_lb, child_ub, a.copy(), b.copy())
+        assert shared.row_block() is parent.row_block()
+        assert _bits(solve_lp(cost, shared)) == _bits(solve_lp(cost, fresh))
+        if cold.state is not None:
+            assert (_bits(solve_lp(cost, shared, start=cold.state))
+                    == _bits(solve_lp(cost, fresh, start=cold.state)))
+        # the children left the shared block as it was
+        assert _bits(solve_lp(cost, parent)) == _bits(cold)
+        assert _bits(cold) == _bits(solve_lp(cost, Region(np.zeros(len(ub)), ub, a, b)))
+
+    def test_infinite_bound_raises_also_on_a_copy_and_in_mip_lmo(self):
+        region = box([0.0, 0.0], [2.0, 2.0], integer=[True, True], a=[[2.0, 2.0]], b=[3.0])
+        assert mip_lmo(np.array([-1.0, -1.0]), region).status == "optimal"
+        lb = np.array([-np.inf, 0.0])
+        with pytest.raises(ValueError):
+            solve_lp(np.array([1.0, 1.0]), region.with_bounds(lb, region.ub))
+        with pytest.raises(ValueError):
+            mip_lmo(np.array([1.0, 1.0]), region.with_bounds(lb, region.ub))
+        with pytest.raises(ValueError):
+            mip_lmo(np.array([1.0, 1.0]), box(lb, [2.0, 2.0], [True, True], [[2.0, 2.0]], [3.0]))
 
 
 class TestVertexCache:
