@@ -51,6 +51,9 @@ class SolveTrace:
     node_count: int = 0
     restart_count: int = 0
     termination: str = ""
+    # FwResult.lmo_calls over the nodes whose relaxation was solved, the
+    # LNS sub-solves that ran included
+    lmo_calls: int = 0
 
 
 class IncumbentStore:
@@ -331,6 +334,7 @@ def solve(
             store=None,
             t0=t0,
         )
+        trace.lmo_calls += sub_trace.lmo_calls
         solved[key] = sub_trace.incumbent_reform
         return solved[key]
 
@@ -379,6 +383,7 @@ def solve(
                 termination = "time_limit" if time.monotonic() > deadline else "root_infeasible"
 
         if not infeasible_node:
+            trace.lmo_calls += result.lmo_calls
             for v in result.vertices:
                 submit(v)
             x_relax = result.x

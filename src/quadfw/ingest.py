@@ -495,6 +495,7 @@ class RunReport:
     nodes: int = 0
     restarts: int = 0
     termination: str = ""
+    workers: list[dict] = field(default_factory=list)  # per-worker counters
 
     def to_dict(self) -> dict:
         return {
@@ -511,6 +512,7 @@ class RunReport:
             "nodes": self.nodes,
             "restarts": self.restarts,
             "termination": self.termination,
+            "stats": {"workers": self.workers},
         }
 
 
@@ -525,6 +527,7 @@ def build_report(
     nodes: int = 0,
     restarts: int = 0,
     termination: str = "",
+    workers: list[dict] | None = None,
 ) -> RunReport:
     """Assemble a RunReport from merged incumbent events (original sense)."""
     events = [(round(t, 3), v) for (t, v) in events]
@@ -557,6 +560,7 @@ def build_report(
         nodes=nodes,
         restarts=restarts,
         termination=termination,
+        workers=[] if workers is None else workers,
     )
 
 

@@ -33,13 +33,16 @@ every snap, fixing and integer-bound rounding in the package uses.
 A per-worker ``VertexCache`` stores every vertex ``mip_lmo`` returns for
 lazified Frank-Wolfe; ``lazy_lookup`` returns a cached vertex of the
 given region with sufficient inner-product progress before paying for a
-fresh MIP solve.
+fresh MIP solve.  The cache tests each vertex against the rows once per
+search and against the bounds once per node.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,15 +143,27 @@ class Region:
         bounds and rows within ``tol``, integrality within ``int_tol``
         unless it is None.  Rows and integrality are checked only on the
         points inside the bounds."""
-        inside = ~np.any((points < self.lb - tol) | (points > self.ub + tol), axis=1)
+        inside = self.inside(points, tol)
         kept = np.flatnonzero(inside)
-        boxed = points[kept]
-        ok = ~np.any(boxed @ self.a.T > self.b + tol, axis=1)
-        if int_tol is not None and self.integer_mask.any():
-            x_int = boxed[:, self.integer_mask]
-            ok &= ~(np.abs(x_int - np.round(x_int)).max(axis=1) > int_tol)
-        inside[kept] = ok
+        inside[kept] = self.fits(points[kept], tol, int_tol)
         return inside
+
+    def inside(self, points: np.ndarray, tol: float = ROW_FEASIBILITY_TOL) -> np.ndarray:
+        """Mask of the rows of ``points`` within ``tol`` of the bounds."""
+        out = points < self.lb - tol
+        out |= points > self.ub + tol
+        return ~out.any(axis=1)
+
+    def fits(self, points: np.ndarray, tol: float = ROW_FEASIBILITY_TOL,
+             int_tol: float | None = None) -> np.ndarray:
+        """Mask of the rows of ``points`` that meet the rows within ``tol``
+        and, unless ``int_tol`` is None, integrality within ``int_tol``;
+        the bounds are not checked."""
+        ok = ~np.any(points @ self.a.T > self.b + tol, axis=1)
+        if int_tol is not None and self.integer_mask.any():
+            x_int = points[:, self.integer_mask]
+            ok &= ~(np.abs(x_int - np.round(x_int)).max(axis=1) > int_tol)
+        return ok
 
 
 def region_from_problem(problem: Problem) -> Region:
@@ -533,18 +548,55 @@ def vertex_key(v: np.ndarray) -> bytes:
     return np.round(np.asarray(v, dtype=float), 9).tobytes()
 
 
+class _VertexFlags:
+    """One flag per cached vertex for one key, a tuple of arrays compared
+    by identity: each vertex's flag is computed once, and every flag anew
+    when the key changes."""
+
+    __slots__ = ("key", "flags", "done")
+
+    def __init__(self) -> None:
+        self.key: tuple[np.ndarray, ...] | None = None
+        self.flags = np.zeros(0, dtype=bool)
+        self.done = 0  # leading vertices whose flag is set
+
+    def update(self, key: tuple[np.ndarray, ...], vertices: np.ndarray,
+               test: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        if self.key is None or not all(map(operator.is_, self.key, key)):
+            self.key = key
+            self.done = 0
+        count = len(vertices)
+        if len(self.flags) < count:
+            grown = np.zeros(max(2 * len(self.flags), count, 16), dtype=bool)
+            grown[: self.done] = self.flags[: self.done]
+            self.flags = grown
+        if self.done < count:
+            self.flags[self.done : count] = test(vertices[self.done : count])
+            self.done = count
+        return self.flags[:count]
+
+
 class VertexCache:
     """Deduplicated store of the vertices ``mip_lmo`` returned (per worker).
 
     Vertices are hashed by coordinates rounded at 1e-9 and kept as the
-    rows of one matrix, oldest first, unchecked: ``lazy_lookup`` serves
-    only members of the region it is given.
+    rows of one matrix, oldest first, unchecked on insert: ``lazy_lookup``
+    serves only members of the region it is given (``members``).  Every
+    region of one search shares its rows and integrality mask, and the
+    lookups of one Frank-Wolfe node share its bounds, so the cache keeps
+    per vertex whether it meets the rows and integrality it was last asked
+    about, and whether it lies inside the bounds it was last asked about.
+    Each vertex is tested once for each; the arrays are compared by
+    identity, and other rows or other bounds are tested anew on every
+    vertex.  A region's arrays are therefore not to be changed in place.
     """
 
     def __init__(self) -> None:
         self._rows: np.ndarray | None = None  # capacity doubles when full
         self._count = 0
         self._keys: set[bytes] = set()
+        self._fits = _VertexFlags()
+        self._inside = _VertexFlags()
 
     def __len__(self) -> int:
         return self._count
@@ -573,6 +625,17 @@ class VertexCache:
         self._count += 1
         return True
 
+    def members(self, region: Region) -> np.ndarray:
+        """Membership mask of the cached vertices, oldest first: bounds
+        and rows within ``ROW_FEASIBILITY_TOL``, integrality within
+        ``INT_TOL``; ``region.members`` of ``vertices``, from the flags."""
+        vertices = self.vertices
+        fits = self._fits.update(
+            (region.a, region.b, region.integer_mask), vertices,
+            lambda points: region.fits(points, ROW_FEASIBILITY_TOL, INT_TOL))
+        inside = self._inside.update((region.lb, region.ub), vertices, region.inside)
+        return fits & inside
+
 
 def lazy_lookup(
     cache: VertexCache,
@@ -587,13 +650,15 @@ def lazy_lookup(
     ``region`` (rows and bounds within ``ROW_FEASIBILITY_TOL``, integrality
     within ``INT_TOL``) qualify: this is the cache's one region check, and
     vertices cached at other nodes may lie outside this node's bounds.
+    The cache tests each vertex's rows once per search and its bounds
+    once per node (``VertexCache.members``), so a lookup tests only the
+    vertices cached since the last one.
     """
     threshold = max(phi, 0.0) / 2.0
     if not len(cache):
         return None
     vertices = cache.vertices
-    valid = np.flatnonzero(region.members(vertices, ROW_FEASIBILITY_TOL, INT_TOL))
-    for k in valid[::-1]:
+    for k in np.flatnonzero(cache.members(region))[::-1]:
         v = vertices[k]
         if float(gradient @ (x_t - v)) >= threshold:
             return v.copy()

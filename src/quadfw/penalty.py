@@ -21,10 +21,20 @@ class SmoothObjective:
     """Value/gradient oracle pair for the penalty-relaxed objective.
 
     Owns dense matrix forms of the objective and the penalized
-    constraints, stacked as ``(m, n, n)`` / ``(m, n)`` / ``(m,)`` arrays;
-    read-only after construction, one instance per worker.  The objective
+    constraints, stacked as ``(m, n, n)`` / ``(m, n)`` / ``(m,)`` arrays,
+    read-only after construction; one instance per worker, as the memo
+    below is not shared safely between threads.  The objective
     stays out of the stack: ``base_value`` and the gradient's
     ``q_mat @ x + d`` evaluate it on their own.
+
+    It keeps one point in memory: the last one it was called at, keyed by
+    the bytes of its coordinates, with what has been computed there (the
+    row product, the value, ``q_mat @ x + d`` and the gradient).  A call
+    at the same point gets those results back instead of recomputing
+    them; the bytes are compared on every call, so a point changed in
+    place is a new point.  Arrays are handed out read-only.
+    ``n_value_evals`` and ``n_gradient_evals`` count calls;
+    ``n_row_products`` counts the stacked row products computed.
     """
 
     def __init__(self, problem: Problem, p: float = 1.5):
@@ -48,20 +58,46 @@ class SmoothObjective:
             self._c[i] = con.c
         self.n_value_evals = 0
         self.n_gradient_evals = 0
+        self.n_row_products = 0
+        self._key: bytes | None = None
+        self._memo: dict[str, object] = {}
 
     # -- oracles -----------------------------------------------------------
 
     def base_value(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.q_mat @ x + self.d @ x + self.c0)
 
-    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _at(self, x: np.ndarray) -> dict[str, object]:
+        """What has been computed at ``x``; emptied when ``x`` is a new point."""
+        key = x.tobytes()
+        if key != self._key:
+            self._key = key
+            self._memo = {}
+        return self._memo
+
+    def _rows(self, x: np.ndarray, memo: dict[str, object]) -> tuple[np.ndarray, np.ndarray]:
         """``(A_i x)_i`` as an ``(m, n)`` array and ``g_i(x)`` as an
         ``(m,)`` array, from one stacked product over the penalized rows."""
-        ax = self._a @ x
-        return ax, 0.5 * (ax @ x) + self._b @ x + self._c
+        rows = memo.get("rows")
+        if rows is None:
+            self.n_row_products += 1
+            ax = self._a @ x
+            g = 0.5 * (ax @ x) + self._b @ x + self._c
+            g.flags.writeable = False  # constraint_values hands it out
+            rows = memo["rows"] = (ax, g)
+        return rows
+
+    def _slope(self, x: np.ndarray, memo: dict[str, object]) -> np.ndarray:
+        """The objective's gradient ``q_mat @ x + d``."""
+        slope = memo.get("slope")
+        if slope is None:
+            slope = memo["slope"] = self.q_mat @ x + self.d
+            slope.flags.writeable = False
+        return slope
 
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
-        return self._rows(np.asarray(x, dtype=float))[1]
+        x = np.asarray(x, dtype=float)
+        return self._rows(x, self._at(x))[1]
 
     # Both oracles skip the stacked product when no row is penalized: its
     # fixed numpy overhead made them 4 to 7 times slower on the binary QPs
@@ -70,20 +106,29 @@ class SmoothObjective:
     def value(self, x: np.ndarray) -> float:
         self.n_value_evals += 1
         x = np.asarray(x, dtype=float)
-        total = self.base_value(x)
-        if self.penalized:
-            g = self._rows(x)[1]
-            total += float(np.sum(g[g > 0.0] ** self.p))
+        memo = self._at(x)
+        total = memo.get("value")
+        if total is None:
+            total = self.base_value(x)
+            if self.penalized:
+                g = self._rows(x, memo)[1]
+                total += float(np.sum(g[g > 0.0] ** self.p))
+            memo["value"] = total
         return total
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self.n_gradient_evals += 1
         x = np.asarray(x, dtype=float)
-        grad = self.q_mat @ x + self.d
-        if self.penalized:
-            ax, g = self._rows(x)
-            on = g > 0.0
-            grad = grad + (self.p * g[on] ** (self.p - 1.0)) @ (ax[on] + self._b[on])
+        memo = self._at(x)
+        grad = memo.get("gradient")
+        if grad is None:
+            grad = self._slope(x, memo)
+            if self.penalized:
+                ax, g = self._rows(x, memo)
+                on = g > 0.0
+                grad = grad + (self.p * g[on] ** (self.p - 1.0)) @ (ax[on] + self._b[on])
+                grad.flags.writeable = False
+            memo["gradient"] = grad
         return grad
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -98,12 +143,15 @@ class SmoothObjective:
         """
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
-        s0 = float((self.q_mat @ x + self.d) @ d)
+        memo = self._at(x)
+        s0 = float(self._slope(x, memo) @ d)
         t0 = float(d @ self.q_mat @ d)
-        ax, g_x = self._rows(x)
-        rows = list(zip(g_x.tolist(),
-                        ((ax + self._b) @ d).tolist(),
-                        ((self._a @ d) @ d).tolist()))
+        rows = []
+        if self.penalized:
+            ax, g_x = self._rows(x, memo)
+            rows = list(zip(g_x.tolist(),
+                            ((ax + self._b) @ d).tolist(),
+                            ((self._a @ d) @ d).tolist()))
         p = self.p
 
         def phi_prime(gamma: float) -> float:

@@ -84,9 +84,11 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
 
     store = bnb.IncumbentStore()
     traces = []
+    objectives = []
     for w in range(config.workers):
         cfg, prob = _worker_setup(presolved.problem, config, w)
         objective = SmoothObjective(prob, cfg.p)
+        objectives.append(objective)
         left = max(config.time_limit - (time.monotonic() - origin), 0.0)
         later = config.workers - 1 - w
         # a 1 / (W - w) share of the time left; the last worker gets exactly the limit
@@ -119,5 +121,20 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
         nodes=sum(t.node_count for t in traces),
         restarts=sum(t.restart_count for t in traces),
         termination="+".join(terminations),
+        workers=[_worker_stats(t, o) for t, o in zip(traces, objectives)],
     )
     return (report, traces) if return_details else report
+
+
+def _worker_stats(trace: bnb.SolveTrace, objective: SmoothObjective) -> dict:
+    """One worker's counters for the report: its search's node count,
+    termination and MIP-oracle calls, and the calls its objective
+    answered and the stacked row products it computed for them."""
+    return {
+        "nodes": trace.node_count,
+        "termination": trace.termination,
+        "lmo_calls": trace.lmo_calls,
+        "value_calls": objective.n_value_evals,
+        "gradient_calls": objective.n_gradient_evals,
+        "row_products": objective.n_row_products,
+    }

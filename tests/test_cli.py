@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from quadfw.ingest import parse_canonical
 from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
 from quadfw.portfolio import merge_traces, run_portfolio
 
-from conftest import random_binary_qp
+from conftest import random_binary_qp, random_miqcqp
 
 INSTANCE = """\
 NAME clitest
@@ -426,3 +427,29 @@ class TestPortfolio:
         first = run()
         assert any(adopted)
         assert run() == first
+
+    def test_worker_stats(self, monkeypatch):
+        # every FW node's LMO calls, sub-solves included, reach the report
+        lmo_calls = []
+        bpcg = bnb.bpcg
+
+        def counted(*args, **kwargs):
+            result = bpcg(*args, **kwargs)
+            lmo_calls.append(result.lmo_calls)
+            return result
+
+        monkeypatch.setattr(bnb, "bpcg", counted)
+        p = random_miqcqp(np.random.default_rng(4), 10, n_quad=2, n_lin=1)
+        cfg = Config(workers=1, time_limit=60.0, node_limit=30, seed=0)
+        report = run_portfolio(p, cfg).to_dict()
+        (entry,) = report["stats"]["workers"]
+        assert len(lmo_calls) > entry["nodes"]  # LNS sub-solves ran
+        assert entry["lmo_calls"] == sum(lmo_calls)
+        assert entry["nodes"] == report["nodes"]
+        assert entry["termination"] == report["termination"] == "node_limit"
+        # calls at a point just evaluated reuse its row product
+        assert 0 < entry["row_products"] < entry["value_calls"] + entry["gradient_calls"]
+        assert run_portfolio(p, cfg).to_dict()["stats"] == report["stats"]
+        two = run_portfolio(p, replace(cfg, workers=2)).to_dict()
+        assert len(two["stats"]["workers"]) == 2
+        assert sum(w["nodes"] for w in two["stats"]["workers"]) == two["nodes"]

@@ -757,6 +757,59 @@ class TestLazyLookupMatchesScalarScan:
             assert got is not None and got.tobytes() == want.tobytes()
 
 
+@st.composite
+def _lookup_sequence(draw):
+    """Two row sets over one variable set and a list of steps.  Each step
+    inserts a few vertices and looks up on one row set under bounds that
+    are new, shared in part with the previous step's (as a child shares
+    its parent's lower or upper bounds), or the previous step's region
+    itself."""
+    n = draw(st.integers(1, 4))
+    coord = st.builds(lambda k, o: k + o, st.integers(-2, 2), st.sampled_from(_OFFSETS))
+    point = st.lists(coord, min_size=n, max_size=n).map(np.array)
+    real = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=n, max_size=n)
+    regions = []
+    for _ in range(2):
+        m = draw(st.integers(0, 3))
+        a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+        b = draw(st.lists(coord, min_size=m, max_size=m))
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        regions.append(Region(np.full(n, -3.0), np.full(n, 3.0), np.array(a, dtype=float),
+                              np.array(b), np.array(mask)))
+    steps = draw(st.lists(st.tuples(
+        st.lists(point, max_size=3), st.integers(0, 1),
+        st.sampled_from(["new", "same lb", "same ub", "same region"]),
+        point, st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        real, real, st.floats(-5.0, 50.0, allow_nan=False)), min_size=1, max_size=8))
+    return regions, steps
+
+
+class TestLazyLookupOverASequence:
+    @settings(deadline=None, max_examples=200)
+    @given(_lookup_sequence())
+    def test_each_step_matches_the_scalar_scan(self, case):
+        regions, steps = case
+        cache = VertexCache()
+        inserted = []
+        region = None
+        for vertices, rows, bounds, lb, widths, gradient, x_t, phi in steps:
+            inserted += [v for v in vertices if cache.insert(v)]
+            ub = lb + np.array(widths, dtype=float)
+            if region is not None and bounds == "same lb":
+                lb = region.lb
+            elif region is not None and bounds == "same ub":
+                ub = region.ub
+            if region is None or bounds != "same region":
+                region = regions[rows].with_bounds(lb, ub)
+            got = lazy_lookup(cache, np.array(gradient), np.array(x_t), phi, region=region)
+            want = _scalar_lookup(inserted, np.array(gradient), np.array(x_t), phi, region)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.tobytes() == want.tobytes()
+
+
 class TestRegionMembers:
     """``members`` checks rows and integrality only on the points inside
     the bounds; the mask must be the one a check of everything on every

@@ -202,3 +202,84 @@ class TestLineDerivative:
         for gamma in np.linspace(0.0, 1.0, 11):
             want = float(obj.gradient(x + gamma * d) @ d)
             assert phi_prime(gamma) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# -- the one-point memo -------------------------------------------------------
+
+
+@st.composite
+def _memo_case(draw):
+    """A problem with up to two nonconvex rows, a pool of points (exact
+    repeats in other arrays, a zero coordinate in both signs) and a list
+    of calls, some of which change a pool point in place."""
+    n = draw(st.integers(1, 3))
+    coef = st.floats(-3.0, 3.0, allow_nan=False)
+    vec = st.lists(coef, min_size=n, max_size=n)
+
+    def terms():
+        q = np.reshape(draw(st.lists(coef, min_size=n * n, max_size=n * n)), (n, n))
+        return terms_from_symmetric(q + q.T)
+
+    cons = [QuadConstraint(terms(), dict(enumerate(draw(vec))), draw(coef))
+            for _ in range(draw(st.integers(0, 2)))]
+    prob = make_problem(terms_obj=terms(), d=draw(vec), cons=cons, n=n)
+    p = draw(st.floats(1.2, 2.0))
+    pool = [np.array(draw(vec)) for _ in range(draw(st.integers(1, 3)))]
+    zero = pool[0].copy()
+    zero[0] = 0.0
+    negative_zero = zero.copy()
+    negative_zero[0] = -0.0
+    pool += [zero, negative_zero, pool[0].copy()]
+    kinds = st.sampled_from(["value", "gradient", "line", "constraints", "change"])
+    calls = draw(st.lists(st.tuples(kinds, st.integers(0, len(pool) - 1),
+                                    st.integers(0, len(pool) - 1),
+                                    st.integers(0, n - 1), coef),
+                          min_size=1, max_size=30))
+    return prob, p, pool, calls
+
+
+def _bits(result) -> bytes:
+    return np.asarray(result, dtype=float).tobytes()
+
+
+class TestMemo:
+    @settings(deadline=None, max_examples=200)
+    @given(_memo_case())
+    def test_every_answer_is_a_fresh_objectives(self, case):
+        prob, p, pool, calls = case
+        obj = SmoothObjective(prob, p=p)
+        for kind, i, k, j, c in calls:
+            x = pool[i]
+            fresh = SmoothObjective(prob, p=p)
+            if kind == "change":
+                x[j] = c
+                continue
+            if kind == "line":
+                d = pool[k]
+                got, want = obj.line_derivative(x, d), fresh.line_derivative(x, d)
+                for gamma in (0.0, 0.25, 1.0):
+                    assert _bits(got(gamma)) == _bits(want(gamma))
+                continue
+            method = {"value": "value", "gradient": "gradient",
+                      "constraints": "constraint_values"}[kind]
+            got = getattr(obj, method)(x)
+            assert _bits(got) == _bits(getattr(fresh, method)(x))
+            if isinstance(got, np.ndarray) and got.size:
+                # a caller writing into an answer must not change the next one
+                try:
+                    got[0] = 7.0
+                except ValueError:
+                    pass
+
+    def test_row_products_count_computed_products(self):
+        obj = SmoothObjective(TestRelaxedObjective().unit_ball_problem(), p=1.5)
+        x = np.array([2.0])
+        obj.value(x)
+        obj.gradient(x.copy())
+        obj.line_derivative(x, np.array([1.0]))
+        assert obj.n_row_products == 1
+        x[0] = 3.0  # the same array at a new point
+        obj.value(x)
+        obj.constraint_values(np.array([-0.0]))
+        obj.constraint_values(np.array([0.0]))
+        assert (obj.n_value_evals, obj.n_gradient_evals, obj.n_row_products) == (2, 1, 4)
