@@ -51,8 +51,8 @@ class SolveTrace:
     node_count: int = 0
     restart_count: int = 0
     termination: str = ""
-    # FwResult.lmo_calls over the nodes whose relaxation was solved, the
-    # LNS sub-solves that ran included
+    # MIP-oracle calls of every node, an infeasible one included, and of
+    # the LNS sub-solves that ran
     lmo_calls: int = 0
 
 
@@ -271,7 +271,7 @@ def solve(
     uncrush = uncrush if uncrush is not None else _identity
     repair = repair if repair is not None else _identity
     if objective is None:
-        objective = SmoothObjective(problem, config.p)
+        objective = SmoothObjective(problem)
 
     if t0 is None:
         t0 = time.monotonic()
@@ -376,9 +376,10 @@ def solve(
                 deadline=deadline,
                 init_direction=node.init_direction,
             )
-        except RegionInfeasible:
+        except RegionInfeasible as exc:
             # an empty region, or a MIP-LMO stopped before finding a vertex
             infeasible_node = True
+            trace.lmo_calls += exc.lmo_calls
             if state.node_count == 0 and node.depth == 0 and not stack:
                 termination = "time_limit" if time.monotonic() > deadline else "root_infeasible"
 
@@ -393,8 +394,7 @@ def solve(
                 not has_continuous or state.node_count % 10 == 0
             ):
                 lns.probability_rounding(
-                    x_relax, problem, trials=10, rng=rng, objective=objective,
-                    box=(node.lb, node.ub), submit=submit, deadline=deadline,
+                    x_relax, problem, trials=10, rng=rng, subsolve=subsolve, submit=submit,
                 )
             if ftg_pending:
                 ftg_pending = False

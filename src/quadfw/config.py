@@ -1,9 +1,10 @@
 """Solver configuration (shared by the CLI, the portfolio and the tree
 search).  ``workers`` is the number of grid configs the portfolio runs
 one after the other, each on a fair share of the time left.  A portfolio
-resolves the per-worker fields ``p`` and ``seed`` (and the
-convexification proportion of an all-binary QP) from the grids; a direct
-solve uses them as given."""
+gives worker ``w`` the seed ``seed + w`` and takes its penalty exponent
+(or, for an all-binary QP, its convexification proportion) from the
+grids; a direct solve uses ``seed`` as given and the default exponent of
+``penalty.SmoothObjective`` unless it is handed an objective."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ class Config:
     workers: int = 8
     p_grid: tuple[float, ...] = DEFAULT_P_GRID
     ell_grid: tuple[float, ...] = DEFAULT_ELL_GRID
-    p: float = 1.5
     fw_iter: int = 10
     restart_interval: int = 100
     seed: int = 0
@@ -40,7 +40,7 @@ class Config:
             raise ValueError("worker count must be at least 1")
         if not self.p_grid or not self.ell_grid:
             raise ValueError("the p and ell grids must not be empty")
-        if not all(1.0 < p < math.inf for p in (self.p, *self.p_grid)):
+        if not all(1.0 < p < math.inf for p in self.p_grid):
             raise ValueError("penalty exponents must be finite and exceed 1")
         if any(not 0.0 <= e <= 1.0 for e in self.ell_grid):
             raise ValueError("convexification proportions must lie in [0, 1]")
@@ -56,8 +56,8 @@ class Config:
         if self.reference is not None and not math.isfinite(self.reference):
             raise ValueError("reference objective must be finite")
 
-    def for_worker(self, index: int, p: float | None = None) -> "Config":
-        return replace(self, seed=self.seed + index, p=p if p is not None else self.p)
+    def for_worker(self, index: int) -> "Config":
+        return replace(self, seed=self.seed + index)
 
     def echo(self) -> dict:
         return {

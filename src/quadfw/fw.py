@@ -26,7 +26,12 @@ WEIGHT_TOL = 1e-12
 
 
 class RegionInfeasible(RuntimeError):
-    """The LMO reports an empty feasible region."""
+    """The LMO reports an empty feasible region; ``lmo_calls`` counts the
+    oracle calls of the run that raised it, the failed one included."""
+
+    def __init__(self, message: str, lmo_calls: int = 0):
+        super().__init__(message)
+        self.lmo_calls = lmo_calls
 
 
 class ActiveSet:
@@ -207,7 +212,7 @@ def bpcg(
         lmo_calls += 1
         res = mip_lmo(direction, region, deadline=deadline)
         if res.point is None:
-            raise RegionInfeasible(f"LMO returned no vertex ({res.status})")
+            raise RegionInfeasible(f"LMO returned no vertex ({res.status})", lmo_calls)
         proven = res.status == "optimal"
         discovered.append(res.point)
         if cache is not None:

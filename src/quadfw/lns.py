@@ -6,13 +6,16 @@ Heuristics never write incumbents directly: every candidate goes through
 the caller-supplied submit callback, which evaluates the original
 objective and constraints.  Integer coordinates are rounded and fixed by
 ``lmo.round_integers`` and ``lmo.fix_coordinates`` (half up, clamped to
-the bounds); standard rounding is ``round_integers`` itself.  Sub-MIQCQP
-solves are delegated to an injected ``subsolve`` callable; the caller
-runs them without LNS, capped at ``SUBPROBLEM_NODE_CAP`` nodes and
-stopped at the run's deadline, so they never nest.  ``subsolve`` solves
-each distinct pair of bounds once per search and may return the point
-it stored for an earlier call, so callers must not mutate what it
-returns.
+the bounds); standard rounding is ``round_integers`` itself.
+
+ASENS, RINS and probability rounding (for its continuous remainder) fix
+variables and hand ``replace(problem, lb=..., ub=...)`` to an injected
+``subsolve`` callable, which the caller runs without LNS, capped at
+``SUBPROBLEM_NODE_CAP`` nodes and stopped at the run's deadline, so
+sub-solves never nest.  ``subsolve`` solves each distinct pair of bounds
+once per search and may return the point it stored for an earlier call,
+so callers must not mutate what it returns.  Undercover's remainder is a
+MILP by construction and goes to the internal MIP directly.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fw import ActiveSet, RegionInfeasible, bpcg
+# bpcg stays importable here: perfbench/probe.py patches lns.bpcg
+from .fw import ActiveSet, bpcg  # noqa: F401
 from .lmo import Region, fix_coordinates, mip_lmo, round_integers, vertex_key
 from .model import Problem, VarKind
 from .penalty import SmoothObjective
@@ -44,20 +48,17 @@ def probability_rounding(
     problem: Problem,
     trials: int,
     rng: np.random.Generator,
-    objective: SmoothObjective | None = None,
-    box: tuple[np.ndarray, np.ndarray] | None = None,
+    subsolve=None,
     submit=None,
-    fw_iter: int = 50,
-    deadline: float = math.inf,
 ) -> list[np.ndarray]:
     """Randomized fixing of binaries with probability x_k (other integers
-    rounded), followed by a short box-constrained FW solve for any
-    remaining continuous part."""
+    rounded).  With continuous variables, each rounded point fixes every
+    integer coordinate and ``subsolve`` solves the continuous remainder;
+    a trial whose sub-solve finds no point is skipped."""
     binary = np.array([kind is VarKind.BINARY for kind in problem.integrality], dtype=bool)
     if not binary.any():
         return []
     x = np.asarray(x, dtype=float)
-    lb, ub = box if box is not None else (problem.lb, problem.ub)
     int_mask = problem.integer_mask()
     has_continuous = not int_mask.all()
     prob = np.clip(x[binary], 0.0, 1.0)
@@ -67,13 +68,10 @@ def probability_rounding(
         cand = rounded.copy()
         draw = np.where(rng.random(len(prob)) < prob, 1.0, 0.0)
         cand[binary] = np.clip(draw, problem.lb[binary], problem.ub[binary])
-        if has_continuous and objective is not None:
-            sub_lb, sub_ub = fix_coordinates(lb, ub, int_mask, int_mask, cand)
-            try:
-                res = bpcg(objective, Region(sub_lb, sub_ub), max_iter=fw_iter,
-                           eps=1e-6, deadline=deadline)
-                cand = res.x
-            except RegionInfeasible:
+        if has_continuous and subsolve is not None:
+            lb, ub = fix_coordinates(problem.lb, problem.ub, int_mask, int_mask, cand)
+            cand = subsolve(replace(problem, lb=lb, ub=ub))
+            if cand is None:
                 continue
         candidates.append(cand)
         if submit is not None:
@@ -93,17 +91,15 @@ def follow_the_gradient(
     budget: int = 50,
     deadline: float = math.inf,
     submit=None,
-    value_fn=None,
-) -> np.ndarray | None:
+) -> None:
     """Unit-step vertex walk: v_{t+1} = LMO(grad f(v_t)).
 
     Stops on a revisited vertex or after ``budget`` follow steps; all
-    visited vertices are submitted and the best one by ``value_fn``
-    (original objective) is returned.
+    visited vertices are submitted.
     """
     res = mip_lmo(start_direction, region, deadline=deadline)
     if res.point is None:
-        return None
+        return
     visited = [res.point]
     seen = {vertex_key(res.point)}
     v = res.point
@@ -121,8 +117,6 @@ def follow_the_gradient(
     if submit is not None:
         for v in visited:
             submit(v)
-    score = value_fn if value_fn is not None else objective.base_value
-    return min(visited, key=score)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +182,9 @@ def rins(
 
 @dataclass
 class NonlinearityGraph:
-    """Variables appearing in quadratic terms; edges are bilinear pairs,
-    squares force their variable into any cover."""
+    """The quadratic terms as a graph: edges are bilinear pairs, squares
+    force their variable into any cover."""
 
-    nodes: set[int] = field(default_factory=set)
     edges: set[tuple[int, int]] = field(default_factory=set)
     forced: set[int] = field(default_factory=set)
 
@@ -201,8 +194,6 @@ class NonlinearityGraph:
         term_lists = [problem.terms_obj] + [con.terms for con in problem.constraints]
         for terms in term_lists:
             for (i, j, _) in terms:
-                graph.nodes.add(i)
-                graph.nodes.add(j)
                 if i == j:
                     graph.forced.add(i)
                 else:

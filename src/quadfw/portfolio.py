@@ -31,15 +31,15 @@ from .penalty import SmoothObjective
 from .presolve import convexify_binary, run_presolve
 
 
-def _worker_setup(base: Problem, config: Config, w: int) -> tuple[Config, Problem]:
-    """Resolve worker w's config and problem: p grid with quadratic
-    constraints, ell grid for all-binary QPs, plain seed spread otherwise."""
-    if base.has_quadratic_constraints():
-        return config.for_worker(w, p=config.p_grid[w % len(config.p_grid)]), base
-    if base.is_all_binary():
-        prob, _ = convexify_binary(base, config.ell_grid[w % len(config.ell_grid)])
-        return config.for_worker(w), prob
-    return config.for_worker(w), base
+def _worker_setup(base: Problem, config: Config, w: int) -> tuple[Config, Problem, float]:
+    """Resolve worker w's config, problem and penalty exponent: seed
+    ``seed + w``, the ell grid's convexification for all-binary QPs, and
+    the p grid round-robin (which acts only where quadratic rows are
+    penalized)."""
+    p = config.p_grid[w % len(config.p_grid)]
+    if base.is_all_binary() and not base.has_quadratic_constraints():
+        base, _ = convexify_binary(base, config.ell_grid[w % len(config.ell_grid)])
+    return config.for_worker(w), base, p
 
 
 def merge_traces(traces: list[bnb.SolveTrace]) -> list[tuple[float, float]]:
@@ -86,8 +86,8 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
     traces = []
     objectives = []
     for w in range(config.workers):
-        cfg, prob = _worker_setup(presolved.problem, config, w)
-        objective = SmoothObjective(prob, cfg.p)
+        cfg, prob, p = _worker_setup(presolved.problem, config, w)
+        objective = SmoothObjective(prob, p)
         objectives.append(objective)
         left = max(config.time_limit - (time.monotonic() - origin), 0.0)
         later = config.workers - 1 - w

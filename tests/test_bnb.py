@@ -175,6 +175,7 @@ class TestSolve:
         trace = solve(p, Config(workers=1, time_limit=5.0, node_limit=10))
         assert trace.incumbent_value is None
         assert trace.termination == "root_infeasible"
+        assert trace.lmo_calls == 1  # the call that found no vertex
 
     @pytest.mark.parametrize("late, expected", [(False, "root_infeasible"), (True, "time_limit")])
     def test_root_without_vertex_past_the_deadline_is_a_time_limit(self, monkeypatch, late, expected):
@@ -216,6 +217,32 @@ class TestSolve:
         trace = solve(p, Config(workers=1, time_limit=5.0, node_limit=80, seed=2))
         values = [v for (_, v) in trace.events]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_probability_rounding_keeps_the_rows(self, monkeypatch):
+        # z binary, x in [0, 4], x <= 4 z, min -x + 10 z: with z rounded to
+        # 0 the row pins x at 0, and a remainder solved without the row
+        # would submit (0, 4)
+        p = Problem(
+            n=2, terms_obj=[], d=np.array([10.0, -1.0]), c0=0.0,
+            constraints=[QuadConstraint([], {0: -4.0, 1: 1.0}, 0.0)],
+            lb=np.zeros(2), ub=np.array([1.0, 4.0]),
+            integrality=[VarKind.BINARY, VarKind.CONTINUOUS],
+        )
+        submitted = []
+        real_rounding = lns.probability_rounding
+
+        def recording(*args, submit, **kwargs):
+            def recorded(x):
+                submitted.append(np.array(x))
+                submit(x)
+
+            return real_rounding(*args, submit=recorded, **kwargs)
+
+        monkeypatch.setattr(lns, "probability_rounding", recording)
+        solve(p, Config(workers=1, time_limit=30.0, node_limit=1))
+        assert submitted
+        for x in submitted:
+            assert check_feasibility(p, x).feasible, x
 
     def test_determinism_with_fixed_seed(self):
         rng = np.random.default_rng(11)
@@ -374,7 +401,7 @@ class TestSubsolveReuse:
         ub[0] = p.lb[0]
         sub = replace(p, ub=ub)
         cfg = Config(workers=1, time_limit=60.0, seed=4, enable_lns=False, node_limit=30)
-        objective = SmoothObjective(p, cfg.p)
+        objective = SmoothObjective(p, 1.5)
         t0 = time.monotonic()
         first = solve(sub, cfg, objective=objective, t0=t0)
         second = solve(sub, cfg, objective=objective, t0=t0)

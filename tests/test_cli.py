@@ -246,7 +246,7 @@ class TestPortfolio:
         pres = run_presolve(p)
         config = Config(workers=7, time_limit=1.0)
         setups = [_worker_setup(pres.problem, config, w) for w in range(7)]
-        assert [cfg.p for (cfg, _) in setups] == [1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]
+        assert [p for (_, _, p) in setups] == [1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]
 
     def test_no_variables_solves_to_constant(self):
         # an empty region has a (0, 0) row block; it must not break the LMO

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from quadfw import lns
+from quadfw import bnb, lns
+from quadfw.config import Config
 from quadfw.fw import ActiveSet
 from quadfw.lmo import Region
 from quadfw.lns import (
@@ -49,13 +50,24 @@ class TestProbabilityRounding:
         kinds = [VarKind.BINARY, VarKind.CONTINUOUS]
         # f = x1^2 - x1 x0: with x0 fixed, optimum x1 = x0/2
         p = make_problem(2, kinds, terms=[(1, 1, 1.0), (0, 1, -1.0)])
-        obj = SmoothObjective(p, p=1.5)
+        config = Config(workers=1, time_limit=30.0, node_limit=20, enable_lns=False)
+        asked = []
+
+        def subsolve(sub_problem):
+            asked.append(sub_problem)
+            return bnb.solve(sub_problem, config).incumbent_reform
+
         rng = np.random.default_rng(2)
         cands = probability_rounding(np.array([1.0, 0.9]), p, trials=3, rng=rng,
-                                     objective=obj, box=(p.lb, p.ub))
+                                     subsolve=subsolve)
+        assert len(cands) == len(asked) == 3
         for cand in cands:
             assert cand[0] == 1.0
             assert cand[1] == pytest.approx(0.5, abs=1e-3)
+        # each sub-problem pins the binary and keeps the continuous bounds
+        for sub in asked:
+            assert sub.lb[0] == sub.ub[0] == 1.0
+            assert (sub.lb[1], sub.ub[1]) == (p.lb[1], p.ub[1])
 
     def test_matches_a_scalar_reference_loop(self):
         # one draw per binary and trial, in index order; general integers
@@ -99,11 +111,11 @@ class TestFollowTheGradient:
     def test_two_step_cycle(self):
         prob, obj = self.distance_objective()
         visited = []
-        best = follow_the_gradient(obj, self.region(), np.array([1.0, 1.0]),
-                                   budget=50, submit=visited.append,
-                                   value_fn=lambda x: eval_objective(prob, x))
-        assert len(visited) == 2  # (0,0) then (1,1), then the cycle closes
-        assert eval_objective(prob, best) == pytest.approx(0.5)
+        follow_the_gradient(obj, self.region(), np.array([1.0, 1.0]),
+                            budget=50, submit=visited.append)
+        # (0,0) then (1,1), then the cycle closes
+        assert [v.tolist() for v in visited] == [[0.0, 0.0], [1.0, 1.0]]
+        assert [eval_objective(prob, v) for v in visited] == pytest.approx([0.5, 0.5])
 
     def test_linear_objective_fixed_point(self):
         p = make_problem(2, [VarKind.BINARY] * 2, d=[1.0, -1.0])
