@@ -7,9 +7,13 @@ with ``run_portfolio`` under ``Workload.config(index)``, as the
 benchmark's untraced solve does.  The one JSON object printed holds, per
 instance: the node and restart counts, each worker's node count and the
 ``repr`` of every incumbent value each worker found.  Two commits run the
-same search when their outputs are byte-identical.
+same search when their outputs are byte-identical.  ``--pool N`` takes
+the first N instances of each workload's family instead of its pool, to
+judge a change that moves results on more instances than the benchmark
+solves.
 
     python3 scripts/search_fingerprint.py --workload binqp_lin > a.json
+    python3 scripts/search_fingerprint.py --workload parallel_w2 --pool 24 > b.json
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -35,8 +40,10 @@ from quadfw.portfolio import run_portfolio
 from workloads import WORKLOADS, pool
 
 
-def fingerprint(name: str) -> dict:
+def fingerprint(name: str, size: int | None = None) -> dict:
     workload = WORKLOADS[name]
+    if size is not None:
+        workload = replace(workload, pool=size)
     out = {}
     for index, instance in enumerate(pool(workload)):
         report, traces = run_portfolio(parse_canonical(instance.text),
@@ -55,10 +62,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
                         help="workload to fingerprint (repeatable; default: the ones "
                              "BENCHMARK.json declares)")
+    parser.add_argument("--pool", type=int, metavar="N",
+                        help="solve the first N instances of each workload's family "
+                             "(default: the workload's pool)")
     args = parser.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     names = args.workload or [w["name"] for w in declared]
-    print(json.dumps({name: fingerprint(name) for name in names}, indent=1))
+    print(json.dumps({name: fingerprint(name, args.pool) for name in names}, indent=1))
     return 0
 
 

@@ -54,6 +54,8 @@ class SolveTrace:
     # MIP-oracle calls of every node, an infeasible one included, and of
     # the LNS sub-solves that ran
     lmo_calls: int = 0
+    # store incumbents adopted: 1 when the store held one at the first root
+    adoptions: int = 0
 
 
 class IncumbentStore:
@@ -261,9 +263,12 @@ def solve(
     problem candidates are checked against (defaults to ``problem``).
     ``t0`` is the ``time.monotonic()`` reading the run started at (the
     solve's own entry when omitted): event times are measured from it and
-    the search stops at ``t0 + config.time_limit``.  Never prunes on
-    objective bounds; stops on the time limit, the node limit, or an
-    exhausted stack.
+    the search stops at ``t0 + config.time_limit``.  Before its first root
+    it reads ``store``: an incumbent there is adopted (no trace event), and
+    the first root starts warm from it, as a warm restart does.  Only this
+    search writes the store while it runs, together with its own
+    incumbent, so the store is not read again.  Never prunes on objective
+    bounds; stops on the time limit, the node limit, or an exhausted stack.
     """
     if not problem.bounds_finite():
         raise ValueError("solve requires finite bounds; run presolve first")
@@ -351,7 +356,11 @@ def solve(
             direction = rng.standard_normal(problem.n)
         return Node(problem.lb.copy(), problem.ub.copy(), active, 0, init_direction=direction)
 
-    stack: list[Node] = [make_root("initial")]
+    value, point = store.read() if store is not None else (math.inf, None)
+    if point is not None:
+        pool.adopt_external(value, point)
+        trace.adoptions = 1
+    stack: list[Node] = [make_root("warm" if point is not None else "initial")]
     termination = "exhausted"
 
     while stack:
@@ -447,10 +456,6 @@ def solve(
                 state.first_kind = "warm" if action == "restart_warm" else "random"
             state.restart_count += 1
             trace.restart_count = state.restart_count
-            if store is not None:
-                value, point = store.read()
-                if point is not None:
-                    pool.adopt_external(value, point)
             undercover_done = False
             ftg_pending = run_lns and config.enable_ftg
             stack = [make_root("warm" if action == "restart_warm" else "random")]

@@ -11,7 +11,8 @@ starts when ``run_portfolio`` is called: presolve and convexification
 count toward the time limit, the TTF and the primal integral.  Workers
 poll their stop time at node boundaries, LMO entry and every simplex
 pivot, which bounds the overrun to the rest of one node.  A later worker
-adopts the store's incumbent at its restarts.  A worker's exception
+adopts the store's incumbent at its first root, which then starts warm
+from it.  A worker's exception
 propagates and no later worker runs.  A best point on one of presolve's
 artificial bounds adds ``+artificial_bound`` to the report's termination.
 """
@@ -128,12 +129,14 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
 
 def _worker_stats(trace: bnb.SolveTrace, objective: SmoothObjective) -> dict:
     """One worker's counters for the report: its search's node count,
-    termination and MIP-oracle calls, and the calls its objective
-    answered and the stacked row products it computed for them."""
+    termination, MIP-oracle calls and whether it adopted the store's
+    incumbent, and the calls its objective answered and the stacked row
+    products it computed for them."""
     return {
         "nodes": trace.node_count,
         "termination": trace.termination,
         "lmo_calls": trace.lmo_calls,
+        "adoptions": trace.adoptions,
         "value_calls": objective.n_value_evals,
         "gradient_calls": objective.n_gradient_evals,
         "row_products": objective.n_row_products,

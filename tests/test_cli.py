@@ -9,6 +9,7 @@ from quadfw import bnb, portfolio
 from quadfw.cli import main
 from quadfw.config import Config
 from quadfw.ingest import parse_canonical
+from quadfw.lmo import vertex_key
 from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
 from quadfw.portfolio import merge_traces, run_portfolio
 
@@ -408,7 +409,7 @@ class TestPortfolio:
         assert all(t <= limit for t, _ in report.events)
 
     def test_node_limited_workers_repeat_exactly(self, monkeypatch):
-        # worker 1 restarts at node 10 behind worker 0's incumbent and adopts it
+        # worker 1 adopts worker 0's incumbent from the store at its first root
         adopted = []
         adopt = bnb.SolutionPool.adopt_external
 
@@ -427,6 +428,47 @@ class TestPortfolio:
         first = run()
         assert any(adopted)
         assert run() == first
+
+    def test_first_root_adopts_the_store_incumbent(self, monkeypatch):
+        # each bpcg and adopt_external call is logged with the solve that
+        # made it: (worker seed, whether it is a top-level worker search)
+        calls, adoptions, solves = [], [], []
+        solve, bpcg = bnb.solve, bnb.bpcg
+        adopt = bnb.SolutionPool.adopt_external
+
+        def tracked(problem, config, **kwargs):
+            solves.append((config.seed, kwargs["store"] is not None))
+            try:
+                return solve(problem, config, **kwargs)
+            finally:
+                solves.pop()
+
+        def logged_bpcg(*args, **kwargs):
+            calls.append((solves[-1], kwargs["warm"]))
+            return bpcg(*args, **kwargs)
+
+        def logged_adopt(pool, value, point):
+            adoptions.append((solves[-1], value < pool.incumbent_value))
+            adopt(pool, value, point)
+
+        monkeypatch.setattr(bnb, "solve", tracked)
+        monkeypatch.setattr(bnb, "bpcg", logged_bpcg)
+        monkeypatch.setattr(bnb.SolutionPool, "adopt_external", logged_adopt)
+        p = random_binary_qp(np.random.default_rng(9), 20)
+        cfg = Config(workers=2, time_limit=60.0, node_limit=12, seed=0)
+        report, traces = run_portfolio(p, cfg, return_details=True)
+
+        first = {w: next(warm for who, warm in calls if who == (w, True)) for w in (0, 1)}
+        assert first[0] is None
+        assert first[1] is not None and len(first[1].vertices) == 1
+        assert vertex_key(first[1].vertices[0]) == vertex_key(traces[0].incumbent_reform)
+        # sub-solves (no store) ran, and none of them adopted
+        assert any(not top for (_, top), _ in calls)
+        assert all(top for (_, top), _ in adoptions)
+        assert ((1, True), True) in adoptions
+        stats = report.to_dict()["stats"]["workers"]
+        assert stats[0]["adoptions"] == 0
+        assert stats[1]["adoptions"] == 1
 
     def test_worker_stats(self, monkeypatch):
         # every FW node's LMO calls, sub-solves included, reach the report
