@@ -22,8 +22,10 @@ class SmoothObjective:
 
     Owns dense matrix forms of the objective and the penalized
     constraints, stacked as ``(m, n, n)`` / ``(m, n)`` / ``(m,)`` arrays,
-    read-only after construction; one instance per worker, as the memo
-    below is not shared safely between threads.  The objective
+    read-only after construction.  The portfolio runs its workers one
+    after the other on one thread, and one instance serves a worker and
+    all its sub-solves; the memo below has no lock, so an instance must
+    not be called from two threads at once.  The objective
     stays out of the stack: ``base_value`` and the gradient's
     ``q_mat @ x + d`` evaluate it on their own.
 

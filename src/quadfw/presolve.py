@@ -3,10 +3,13 @@ complementarity and perspective constraints, and partial convexification
 of all-binary quadratic objectives.
 
 ``run_presolve`` chains the transforms in a fixed order (propagate,
-perspective, complementarity) and returns a :class:`PresolveResult` whose
-``uncrush`` maps points of the reformulated space back to the original
-variable space, so candidate solutions can always be checked against the
-problem as parsed.
+perspective, complementarity) and returns a :class:`PresolveResult`
+holding the reformulated problem and one index map per rewrite: the
+original index of each kept variable, the removed epigraph variables and
+the complementarity triples.  ``uncrush`` reads the first two to map
+points of the reformulated space back to the original variable space, so
+candidate solutions can always be checked against the problem as parsed;
+``repair_aux`` reads the triples.
 """
 
 from __future__ import annotations
@@ -53,14 +56,16 @@ class Spectrum:
 class PresolveResult:
     problem: Problem
     status: str  # "ok" | "infeasible"
-    transforms: list[dict] = field(default_factory=list)
+    # original index of each reformulated variable but the appended binaries
+    kept: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # removed epigraph variables: original index of w, reformulated index of x
+    epigraph_w: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    epigraph_x: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # (i, j, z) of each complementarity x_i * x_j = 0 with its binary z
+    complementarity: list[tuple[int, int, int]] = field(default_factory=list)
     # bounds set to -+ARTIFICIAL_BOUND in place of infinite ones
     artificial_lb: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     artificial_ub: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    # original-space reconstruction data
-    n_original: int = 0
-    kept_original: list[int] = field(default_factory=list)  # reform idx -> original idx
-    removed_epigraphs: list[tuple[int, int]] = field(default_factory=list)  # (w_orig, x_reform)
 
     def on_artificial_bound(self, x: np.ndarray) -> bool:
         """Whether a reformulated-space point lies on an artificial bound."""
@@ -71,30 +76,27 @@ class PresolveResult:
     def uncrush(self, x: np.ndarray) -> np.ndarray:
         """Map a point of the reformulated space to the original space."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(self.n_original)
-        for reform_idx, orig_idx in enumerate(self.kept_original):
-            out[orig_idx] = x[reform_idx]
-        for (w_orig, x_reform) in self.removed_epigraphs:
-            out[w_orig] = x[x_reform] ** 2
+        out = np.empty(len(self.kept) + len(self.epigraph_w))
+        out[self.kept] = x[:len(self.kept)]
+        out[self.epigraph_w] = x[self.epigraph_x] ** 2
         return out
 
     def repair_aux(self, x: np.ndarray) -> np.ndarray:
         """Set complementarity binaries consistently with their pair so
         externally produced candidates satisfy the indicator rows; a
         binary whose pair is all zero is rounded."""
-        out = np.asarray(x, dtype=float).copy()
-        undecided = np.zeros(len(out), dtype=bool)
-        for rec in self.transforms:
-            if rec.get("kind") != "complementarity":
-                continue
-            i, j, z = rec["i"], rec["j"], rec["z"]
+        out = np.array(x, dtype=float)
+        undecided = []
+        for i, j, z in self.complementarity:
             if out[j] > 1e-9:
                 out[z] = 0.0
             elif out[i] > 1e-9:
                 out[z] = 1.0
             else:
-                undecided[z] = True
-        return round_integers(out, undecided, self.problem.lb, self.problem.ub)
+                undecided.append(z)
+        if undecided:
+            out = round_integers(out, undecided, self.problem.lb, self.problem.ub)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +167,18 @@ def _complementarity_candidates(problem: Problem) -> list[int]:
             if con.sense is Sense.EQ and is_complementarity_form(con.terms, con.b, con.c)]
 
 
-def reformulate_complementarity(problem: Problem) -> tuple[Problem, list[dict]]:
+def reformulate_complementarity(
+    problem: Problem,
+) -> tuple[Problem, list[tuple[int, int, int]]]:
     """Replace ``x_i * x_j = 0`` rows by a fresh binary z and big-M rows
     ``x_i <= M_i z``, ``x_j <= M_j (1 - z)`` (z = 0 forces the smaller
-    index to zero).
+    index to zero); returns the ``(i, j, z)`` of each rewritten row.
 
     Requires both variables nonnegative with finite upper bounds;
     non-matching rows are left for the penalty (split into an LE pair by
     the caller).
     """
-    records: list[dict] = []
+    records: list[tuple[int, int, int]] = []
     new_cons: list[QuadConstraint] = []
     added_vars = 0
     n0 = problem.n
@@ -202,8 +206,7 @@ def reformulate_complementarity(problem: Problem) -> tuple[Problem, list[dict]]:
         # z = 0 => x_i <= 0 ; z = 1 => x_j <= 0
         new_cons.append(QuadConstraint([], {i: 1.0, z: -m_i}, 0.0, tag="indicator"))
         new_cons.append(QuadConstraint([], {j: 1.0, z: m_j}, -m_j, tag="indicator"))
-        records.append({"kind": "complementarity", "i": i, "j": j, "z": z,
-                        "M_i": m_i, "M_j": m_j})
+        records.append((i, j, z))
 
     if not records:
         return problem, []
@@ -224,8 +227,9 @@ def reformulate_complementarity(problem: Problem) -> tuple[Problem, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _match_perspective(problem: Problem, idx: int) -> dict | None:
-    """Match constraint ``idx`` against the pattern ``x^2 <= z * w``."""
+def _match_perspective(problem: Problem, idx: int) -> tuple[int, int, int, float] | None:
+    """Match constraint ``idx`` against the pattern ``x^2 <= z * w``;
+    returns ``(x, w, z, c)`` with ``c`` the objective coefficient of w."""
     con = problem.constraints[idx]
     if con.sense is not Sense.LE or con.b or con.c != 0.0 or len(con.terms) != 2:
         return None
@@ -247,7 +251,8 @@ def _match_perspective(problem: Problem, idx: int) -> dict | None:
         return None
     if problem.integrality[w] is not VarKind.CONTINUOUS:
         return None
-    if problem.lb[x] < 0 or problem.lb[w] < 0 or not math.isfinite(problem.ub[x]):
+    # uncrush sets w = x^2, which is 0 at x = 0
+    if problem.lb[x] < 0 or problem.lb[w] != 0.0 or not math.isfinite(problem.ub[x]):
         return None
     # w must appear only here and linearly in the objective with c > 0
     coef = problem.d[w]
@@ -260,45 +265,39 @@ def _match_perspective(problem: Problem, idx: int) -> dict | None:
             continue
         if w in other.b or any(w in (i, j) for (i, j, _) in other.terms):
             return None
-    return {"constraint": idx, "x": x, "w": w, "z": z, "coef": coef}
+    return x, w, z, coef
 
 
-def reformulate_perspective(problem: Problem) -> tuple[Problem, list[dict]]:
+def reformulate_perspective(problem: Problem) -> tuple[Problem, list[tuple[int, int]]]:
     """Rewrite ``min ... + c*w  s.t. x^2 <= z*w`` as ``min ... + c*x^2``
     with an activation row ``x <= ub(x) * z``; the epigraph variable w is
-    removed from the problem."""
-    matches = []
-    used_w: set[int] = set()
+    removed from the problem.  Returns the original index of each
+    removed w with the reformulated index of its x."""
+    matches = {}  # row -> (x, w, z, c)
+    removed: set[int] = set()
     for idx in range(len(problem.constraints)):
         m = _match_perspective(problem, idx)
-        if m and m["w"] not in used_w:
-            matches.append(m)
-            used_w.add(m["w"])
+        if m and m[1] not in removed:
+            matches[idx] = m
+            removed.add(m[1])
     if not matches:
         return problem, []
 
-    removed = sorted(m["w"] for m in matches)
-    removed_set = set(removed)
-    old_to_new = {}
-    new_idx = 0
-    for k in range(problem.n):
-        if k not in removed_set:
-            old_to_new[k] = new_idx
-            new_idx += 1
-    drop_cons = {m["constraint"] for m in matches}
+    keep = [k for k in range(problem.n) if k not in removed]
+    old_to_new = {k: new for new, k in enumerate(keep)}
 
     new_terms = [(old_to_new[i], old_to_new[j], q) for (i, j, q) in problem.terms_obj]
     ub = problem.ub.copy()
-    for m in matches:
-        new_terms.append((old_to_new[m["x"]], old_to_new[m["x"]], m["coef"]))
-        if math.isfinite(problem.ub[m["w"]]):
-            # original x^2 <= z*w <= ub(w) implies a bound on x
-            ub[m["x"]] = min(ub[m["x"]], math.sqrt(max(problem.ub[m["w"]], 0.0)))
+    for (x, w, _, coef) in matches.values():
+        new_terms.append((old_to_new[x], old_to_new[x], coef))
+        # original x^2 <= z*w <= ub(w) implies a bound on x
+        ub[x] = min(ub[x], math.sqrt(max(problem.ub[w], 0.0)))
+    xs = [x for (x, _, _, _) in matches.values()]
+    _, ub[xs] = integral_bounds(problem.lb[xs], ub[xs], problem.integer_mask()[xs])
 
-    keep = [k for k in range(problem.n) if k not in removed_set]
     new_cons: list[QuadConstraint] = []
     for idx, con in enumerate(problem.constraints):
-        if idx in drop_cons:
+        if idx in matches:
             continue
         new_cons.append(
             QuadConstraint(
@@ -309,17 +308,12 @@ def reformulate_perspective(problem: Problem) -> tuple[Problem, list[dict]]:
                 con.tag,
             )
         )
-    for m in matches:
-        x_new, z_new = old_to_new[m["x"]], old_to_new[m["z"]]
+    for (x, _, z, _) in matches.values():
         new_cons.append(
-            QuadConstraint([], {x_new: 1.0, z_new: -ub[m["x"]]}, 0.0, tag="perspective")
+            QuadConstraint([], {old_to_new[x]: 1.0, old_to_new[z]: -ub[x]}, 0.0,
+                           tag="perspective")
         )
 
-    records = [
-        {"kind": "perspective", "w_original": m["w"], "x_original": m["x"],
-         "x_reform": old_to_new[m["x"]], "z_original": m["z"], "coef": m["coef"]}
-        for m in matches
-    ]
     out = Problem(
         n=len(keep),
         terms_obj=merge_terms(new_terms),
@@ -332,7 +326,7 @@ def reformulate_perspective(problem: Problem) -> tuple[Problem, list[dict]]:
         sense_flag=problem.sense_flag,
         name=problem.name,
     )
-    return out, records
+    return out, [(w, old_to_new[x]) for (x, w, _, _) in matches.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +398,22 @@ def run_presolve(problem: Problem, deadline: float = math.inf) -> PresolveResult
 
     Any EQ constraint not consumed by the complementarity transform is
     split into an LE pair so the penalty relaxation applies; remaining
-    infinite bounds become artificial bounds of +-1e5 (flagged).
+    infinite bounds become artificial bounds of +-1e5 (flagged).  The
+    result maps back to the original space: ``kept`` is every original
+    index but the removed epigraph variables, ``epigraph_w`` and
+    ``epigraph_x`` pair each of those with its x, and
+    ``complementarity`` lists the ``(i, j, z)`` of each rewritten pair.
     """
-    n_original = problem.n
     lb, ub, status = propagate_bounds(problem, deadline)
-    transforms: list[dict] = [{"kind": "propagate"}]
     if status == "infeasible":
-        return PresolveResult(problem=problem, status="infeasible",
-                              transforms=transforms, n_original=n_original,
-                              kept_original=list(range(n_original)))
+        return PresolveResult(problem=problem, status="infeasible", kept=np.arange(problem.n))
     work = replace(problem.copy(), lb=lb, ub=ub)
 
-    work, persp_records = reformulate_perspective(work)
-    transforms.extend(persp_records)
-    kept = [k for k in range(n_original)
-            if k not in {r["w_original"] for r in persp_records}]
-    removed_epigraphs = [(r["w_original"], r["x_reform"]) for r in persp_records]
+    work, epigraphs = reformulate_perspective(work)
+    epigraph_w, epigraph_x = np.array(epigraphs, dtype=int).reshape(-1, 2).T
+    kept = np.delete(np.arange(problem.n), epigraph_w)
 
-    work, comp_records = reformulate_complementarity(work)
-    transforms.extend(comp_records)
+    work, complementarity = reformulate_complementarity(work)
 
     # leftover equalities (complementarities the transform skipped)
     new_cons: list[QuadConstraint] = []
@@ -440,10 +431,10 @@ def run_presolve(problem: Problem, deadline: float = math.inf) -> PresolveResult
     return PresolveResult(
         problem=work,
         status="ok",
-        transforms=transforms,
+        kept=kept,
+        epigraph_w=epigraph_w,
+        epigraph_x=epigraph_x,
+        complementarity=complementarity,
         artificial_lb=artificial_lb,
         artificial_ub=artificial_ub,
-        n_original=n_original,
-        kept_original=kept,
-        removed_epigraphs=removed_epigraphs,
     )

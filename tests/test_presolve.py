@@ -12,6 +12,7 @@ from quadfw.model import (
     Sense,
     VarKind,
     assemble_symmetric,
+    check_feasibility,
     eval_objective,
 )
 from quadfw.oracle import brute_force
@@ -295,6 +296,27 @@ class TestPerspective:
         out, records = reformulate_perspective(self.persp_problem(w_in_obj=False))
         assert records == []
 
+    def test_positive_w_lower_bound_untouched(self):
+        # w in [1, 9]: the rewrite maps x = 0 back to w = 0 < lb(w)
+        base = replace(self.persp_problem(), lb=np.array([0.0, 0.0, 1.0]))
+        _, records = reformulate_perspective(base)
+        assert records == []
+        before = brute_force(base, grid=33)
+        after = brute_force(run_presolve(base).problem, grid=33)
+        assert before.value == pytest.approx(1.0)
+        assert after.value == pytest.approx(before.value)
+
+    def test_integer_x_bound_rounds_down(self):
+        # x^2 <= z*w <= 6.25 bounds integer x by 2.5, so by 2
+        base = replace(self.persp_problem(), ub=np.array([3.0, 1.0, 6.25]))
+        res = run_presolve(base)
+        assert res.problem.n == 2
+        mask = res.problem.integer_mask()
+        for bound in (res.problem.lb, res.problem.ub):
+            assert np.array_equal(bound[mask], np.round(bound[mask]))
+        activation = [c for c in res.problem.constraints if c.tag == "perspective"]
+        assert activation[0].b == {0: 1.0, 1: -2.0}
+
 
 class TestEigen:
     def test_offdiagonal_pair(self):
@@ -472,3 +494,91 @@ class TestRunPresolve:
                 assert eval_objective(p, x_orig) == pytest.approx(before.value, abs=1e-8)
             else:
                 assert not after.feasible
+
+
+def map_instance(rng: np.random.Generator):
+    """Random instance with 0-2 perspective rows ``x^2 <= z*w`` and 0-3
+    complementarities ``x_i * x_j = 0`` on shuffled variable indices, and
+    an original-feasible point of it with ``w = x^2``."""
+    n_persp, n_comp, n_free = (int(rng.integers(0, k)) for k in (3, 4, 3))
+    n = 3 * n_persp + 2 * n_comp + n_free
+    slots = iter(int(k) for k in rng.permutation(n))
+    lb, ub, d = np.zeros(n), np.zeros(n), rng.normal(size=n)
+    kinds = [VarKind.CONTINUOUS] * n
+    point = np.zeros(n)
+    cons = []
+    for _ in range(n_persp):
+        x, z, w = next(slots), next(slots), next(slots)
+        kinds[x], kinds[z] = VarKind.INTEGER, VarKind.BINARY
+        ub[x], ub[z], ub[w] = float(rng.integers(1, 4)), 1.0, float(rng.uniform(1.0, 10.0))
+        d[w] = float(rng.uniform(0.5, 2.0))
+        cons.append(QuadConstraint([(x, x, 1.0), (min(z, w), max(z, w), -1.0)], {}, 0.0))
+        point[x] = float(rng.integers(0, min(ub[x], math.floor(math.sqrt(ub[w]))) + 1))
+        point[z] = 1.0 if point[x] > 0 else float(rng.integers(0, 2))
+        point[w] = point[x] ** 2
+    for _ in range(n_comp):
+        i, j = sorted((next(slots), next(slots)))
+        for k in (i, j):
+            kinds[k] = VarKind.INTEGER if rng.random() < 0.5 else VarKind.CONTINUOUS
+            ub[k] = float(rng.integers(1, 5))
+        cons.append(QuadConstraint([(i, j, 1.0)], {}, 0.0, sense=Sense.EQ))
+        k = (i, j, None)[int(rng.integers(0, 3))]  # the positive member, if any
+        if k is not None:
+            point[k] = float(rng.integers(1, ub[k] + 1))
+    for k in slots:
+        kinds[k] = VarKind.INTEGER
+        ub[k] = 3.0
+        point[k] = float(rng.integers(0, 4))
+    problem = Problem(n=n, terms_obj=[], d=d, c0=0.0, constraints=cons,
+                      lb=lb, ub=ub, integrality=kinds)
+    return problem, point, n_persp, n_comp
+
+
+class TestPresolveMap:
+    @staticmethod
+    def presolved():
+        """Each seeded instance with its feasible point, and its presolve."""
+        for seed in range(40):
+            problem, point, n_persp, n_comp = map_instance(np.random.default_rng(seed))
+            assert check_feasibility(problem, point).feasible
+            res = run_presolve(problem)
+            assert res.status == "ok"
+            assert len(res.epigraph_w) == n_persp and len(res.complementarity) == n_comp
+            yield seed, problem, point, res
+
+    @staticmethod
+    def forward(res, point):
+        """The reformulated point of an original one: w dropped, each
+        complementarity binary set from its pair."""
+        y = np.empty(res.problem.n)
+        y[:len(res.kept)] = point[res.kept]
+        for i, j, z in res.complementarity:
+            y[z] = 1.0 if y[i] > 0 else 0.0
+        return y
+
+    def test_kept_and_epigraphs_partition_the_original(self):
+        for _, problem, _, res in self.presolved():
+            both = np.concatenate([res.kept, res.epigraph_w])
+            assert np.array_equal(np.sort(both), np.arange(problem.n))
+
+    def test_uncrush_inverts_the_forward_map(self):
+        for _, _, point, res in self.presolved():
+            y = self.forward(res, point)
+            assert check_feasibility(res.problem, y).feasible
+            assert np.array_equal(res.uncrush(y), point)
+
+    def test_repair_aux_meets_the_indicator_rows(self):
+        for seed, _, point, res in self.presolved():
+            y = self.forward(res, point)
+            zs = [z for (_, _, z) in res.complementarity]
+            y[zs] = np.random.default_rng(seed).uniform(0.0, 1.0, size=len(zs))
+            fixed = res.repair_aux(y)
+            assert np.array_equal(np.delete(fixed, zs), np.delete(y, zs))
+            for i, j, z in res.complementarity:
+                if (y[i] > 0) == (y[j] > 0):
+                    continue
+                rows = [c for c in res.problem.constraints
+                        if c.tag == "indicator" and z in c.b]
+                assert len(rows) == 2
+                for row in rows:
+                    assert sum(v * fixed[k] for k, v in row.b.items()) + row.c <= 1e-9
