@@ -10,11 +10,12 @@ TTF / Gap / PI table using shifted geometric means with shift 1.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
 from .config import DEFAULT_ELL_GRID, DEFAULT_P_GRID, Config
-from .ingest import ParseError, build_report, parse_canonical, parse_qplib, read_report, write_report
+from .ingest import ParseError, build_report, parse_canonical, parse_qplib, write_report
 from .metrics import aggregate_table
 from .portfolio import run_portfolio
 
@@ -100,7 +101,7 @@ def _metrics(args: argparse.Namespace) -> int:
     rows = []
     for path in args.reports:
         with open(path, "r", encoding="utf-8") as handle:
-            data = read_report(handle.read())
+            data = json.load(handle)
         metrics = data.get("metrics", {})
         rows.append(
             {

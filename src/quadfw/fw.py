@@ -106,10 +106,6 @@ class ActiveSet:
         local = min(range(len(scores)), key=lambda i: scores[i])
         return away, local
 
-    def validate(self, tol: float = 1e-9) -> None:
-        assert all(w >= -tol for w in self.weights)
-        assert abs(sum(self.weights) - 1.0) <= tol
-
 
 @dataclass
 class FwResult:

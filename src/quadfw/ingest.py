@@ -529,8 +529,11 @@ def build_report(
     termination: str = "",
     workers: list[dict] | None = None,
 ) -> RunReport:
-    """Assemble a RunReport from merged incumbent events (original sense)."""
-    events = [(round(t, 3), v) for (t, v) in events]
+    """Assemble a RunReport from merged incumbent events (original sense).
+
+    Event times and the TTF are rounded to the millisecond, never past
+    ``time_limit``."""
+    events = [(min(round(t, 3), time_limit), v) for (t, v) in events]
     values = [v for (_, v) in events]
     improving = (all(b > a for a, b in zip(values, values[1:]))
                  if sense_flag == "MAX"
@@ -538,7 +541,7 @@ def build_report(
     if not improving:
         raise ValueError("incumbent events must be strictly improving")
     best = events[-1][1] if events else None
-    ttf = round(time_to_first(IncumbentTrace(events, time_limit)), 3)
+    ttf = min(round(time_to_first(IncumbentTrace(events, time_limit)), 3), time_limit)
     gap = None
     pi: float | None = None
     if reference is not None:
@@ -567,7 +570,3 @@ def build_report(
 def write_report(report: RunReport) -> str:
     """Serialize a run report as JSON with deterministic field order."""
     return json.dumps(report.to_dict(), indent=2, sort_keys=False)
-
-
-def read_report(text: str) -> dict:
-    return json.loads(text)

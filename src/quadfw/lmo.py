@@ -9,17 +9,17 @@ Three layers:
 * ``box_lmo`` -- closed-form minimizer over a box (no rows),
 * ``solve_lp`` -- dense bounded dual simplex started at ``box_lmo``'s
   point (dual feasible on finite bounds, so there is no phase 1) or at a
-  given dual feasible basis, with a bound-flipping ratio test and one
-  fault rule: a revisited basis, or a ratio test whose shortfall
-  loosening could cover, loosens the rows by half the row tolerance once
-  and goes on from that basis (a cycle on loosened rows restarts once from
-  the slack basis).  It stops at a pivot once its stop time has passed,
-  keeps the basis inverse under rank-one updates and makes one
-  ``np.linalg.solve`` per LP, on the final basis, for the point.  It runs
-  on the region's row block (``[a I]``, the slack basis and the slack
-  bounds), which a region builds once and shares with its
-  ``with_bounds`` copies, so the nodes of one MIP search, every MIP
-  search over one region and the tree nodes cut from it build it once,
+  given dual feasible basis, with a bound-flipping ratio test that
+  refuses pivot entries small beside their row's largest, and one fault
+  rule: a revisited basis, or a ratio test that finds no column, loosens
+  the rows by half the row tolerance once and goes on from that basis;
+  after that the LP ends as error or infeasible.  It stops at a pivot
+  once its stop time has passed, keeps the basis inverse under rank-one
+  updates and makes one ``np.linalg.solve`` per LP, on the final basis,
+  for the point.  It runs on the region's row block (``[a I]``, the slack
+  basis and the slack bounds), which a region builds once and shares
+  with its ``with_bounds`` copies, so the nodes of one MIP search, every
+  MIP search over one region and the tree nodes cut from it build it once,
 * ``mip_lmo`` -- depth-first branch-and-bound on top of ``solve_lp``
   (most-fractional branching, lowest index on ties, down branch first,
   pruning on the LP bound, each child's LP started from its parent's
@@ -52,6 +52,8 @@ from .model import Problem, Sense
 ROW_FEASIBILITY_TOL = 1e-7
 INT_TOL = 1e-6
 _LP_TOL = 1e-9
+# a pivot entry within this factor of its row's largest movable entry counts as zero
+_PIVOT_TOL = 1e-8
 # nodes of one mip_lmo search; the benchmark's MIP calls take at most 125
 MIP_NODE_CAP = 1000
 # pivots of one LP before it returns status "error"
@@ -226,14 +228,19 @@ def _dual_simplex(block: _RowBlock, b: np.ndarray, cost: np.ndarray, lb: np.ndar
     violates; the bound-flipping ratio test walks the breakpoints
     ``|d_j| / |alpha_j|`` (lowest index on ties), flipping each column
     passed, until one can absorb the rest of the violation and enters.
+    Only columns with ``|alpha_j|`` above ``_LP_TOL`` and above
+    ``_PIVOT_TOL`` times the largest ``|alpha|`` of the movable nonbasic
+    columns take part, so no pivot leaves a near-singular basis.  The
+    price: an entry that small beside its row's largest counts as zero
+    (``1e-8 x0 + x1 >= 0.5`` over ``[0, 1e5]^2`` gives ``x1 = 0.5``,
+    not 0.499).
+
     One fault rule: a run that comes back to a ``(basis, at_upper)``
-    state it has passed since the last fault loosens every row by
-    ``ROW_FEASIBILITY_TOL / 2`` and goes on from that basis, dual feasible
-    for any ``b``; a revisit on loosened rows restarts once from the slack
-    basis, and one after that returns error.  A ratio test that finds no
-    column proves the LP infeasible, unless the rows are not loosened yet
-    and loosening could cover the shortfall: then the state stays as it
-    is, and the next turn meets it as a revisit.  A pivot starting after
+    state it has passed, or whose ratio test finds no column (the state
+    then stays as it is, and the next turn meets it again), loosens every
+    row by ``ROW_FEASIBILITY_TOL / 2`` once and goes on from that basis,
+    dual feasible for any ``b``.  On loosened rows a revisit returns
+    error and an empty ratio test infeasible.  A pivot starting after
     ``stop_at`` (a ``time.monotonic()`` reading) ends the run.
 
     Returns ``(status, x, state)`` with status optimal, infeasible or
@@ -247,41 +254,32 @@ def _dual_simplex(block: _RowBlock, b: np.ndarray, cost: np.ndarray, lb: np.ndar
     hi = block.hi.copy()
     hi[:n] = ub
     c = np.concatenate([cost, np.zeros(len(b))])
-    start_upper = np.concatenate([cost < 0, np.zeros(len(b), dtype=bool)])
     movable = lo < hi
     width = hi - lo
-
-    def moves(basis: np.ndarray, at_upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # free: nonbasic and movable; sign: +1 at the lower bound, -1 at
-        # the upper, the way a column moves toward its other bound.  Each
-        # pivot updates both where it changes the state.
-        free = movable.copy()
-        free[basis] = False
-        return free, np.where(at_upper, -1.0, 1.0)
-
     if start is None:
-        basis, at_upper, inverse = block.slack.copy(), start_upper.copy(), block.identity
+        basis, inverse = block.slack.copy(), block.identity
+        at_upper = np.concatenate([cost < 0, np.zeros(len(b), dtype=bool)])
     else:
         basis, at_upper = start[0].copy(), start[1].copy()
         inverse = np.linalg.inv(mat[:, basis])
-    free, sign = moves(basis, at_upper)
-    loosened = restarted = False
-    seen: set[bytes] = set()  # (basis, at_upper) states since the last fault
+    # free: nonbasic and movable; sign: +1 at the lower bound, -1 at the
+    # upper, the way a column moves toward its other bound.  Each pivot
+    # updates both where it changes the state.
+    free = movable.copy()
+    free[basis] = False
+    sign = np.where(at_upper, -1.0, 1.0)
+    loosened = False
+    seen: set[bytes] = set()  # (basis, at_upper) states passed on the current rows
     for _ in range(LP_PIVOT_CAP):
         if time.monotonic() > stop_at:
             return "error", None, None
         state = basis.tobytes() + at_upper.tobytes()
         if state in seen:
-            # a cycle (degenerate pivots, or pivots on coefficients just
-            # above _LP_TOL), or a ratio test that left the state as it was
-            if restarted:
+            # a cycle of degenerate pivots, or a ratio test that left the
+            # state as it was
+            if loosened:
                 return "error", None, None
             seen.clear()
-            if loosened:  # a near-singular basis can cycle on loosened rows
-                restarted = True
-                basis, at_upper, inverse = block.slack.copy(), start_upper.copy(), block.identity
-                free, sign = moves(basis, at_upper)
-                continue
             b = b + 0.5 * ROW_FEASIBILITY_TOL
             loosened = True
         seen.add(state)
@@ -307,27 +305,23 @@ def _dual_simplex(block: _RowBlock, b: np.ndarray, cost: np.ndarray, lb: np.ndar
         rho = inverse[r]
         d = c - y @ mat
         alpha = rho @ mat
-        # a column whose move toward its other bound repairs the row
+        # a column whose move toward its other bound repairs the row, on
+        # an entry that is not small beside the row's largest movable one
+        size = np.abs(alpha)
+        pivot_tol = max(_LP_TOL, _PIVOT_TOL * size.max(where=free, initial=0.0))
         toward = sign * alpha if sigma > 0 else -(sign * alpha)
-        eligible = (free & (toward < -_LP_TOL)).nonzero()[0]
-        steep = np.abs(alpha[eligible])
+        eligible = (free & (toward < -pivot_tol)).nonzero()[0]
+        steep = size[eligible]
         perm = (np.abs(d[eligible]) / steep).argsort(kind="stable")
         order = eligible[perm]
         left = violation[r] - (steep[perm] * width[order]).cumsum()
         # left falls along the walk, so it absorbs somewhere iff at its end
         absorbs = left <= _LP_TOL
         if not len(absorbs) or not absorbs[-1]:
-            # A row met only to rounding (a coefficient at the pivot
-            # tolerance) can keep about _LP_TOL of violation that no
-            # eligible column may repair.  Loosening every row by half of
-            # ROW_FEASIBILITY_TOL moves this basic variable by sigma *
-            # rho.sum() times that; where this and every column that moves
-            # it the right way could cover the violation, the state comes
-            # back unchanged for the fault rule.  Loosened points are still
-            # members of the region.
-            helps = free & (toward < 0)
-            short = violation[r] - np.abs(alpha[helps]) @ width[helps]
-            if loosened or short > 0.5 * ROW_FEASIBILITY_TOL * sigma * rho.sum():
+            # no column covers the violation: infeasible on loosened rows;
+            # else the state stays as it is and the next turn loosens them
+            # (a row met only to rounding keeps a violation of about _LP_TOL)
+            if loosened:
                 return "infeasible", None, None
             continue
         k = int(absorbs.argmax())

@@ -147,9 +147,6 @@ class Problem:
     def has_quadratic_constraints(self) -> bool:
         return any(con.terms for con in self.constraints)
 
-    def linear_constraint_indices(self) -> list[int]:
-        return [i for i, con in enumerate(self.constraints) if con.is_linear()]
-
     def compiled(self) -> "_CompiledTerms":
         """Term arrays for exact evaluation.  Built once, so the term
         lists, linear parts, constants and integrality must not change

@@ -119,9 +119,8 @@ def propagate_bounds(
     int_mask = problem.integer_mask()
     lb, ub = integral_bounds(problem.lb, problem.ub, int_mask)
     rows = []  # (variable indices, coefficients, beta) of each row a'x <= beta
-    for i in problem.linear_constraint_indices():
-        con = problem.constraints[i]
-        if con.sense is Sense.LE:
+    for con in problem.constraints:
+        if con.is_linear() and con.sense is Sense.LE:
             idx = np.fromiter(con.b.keys(), dtype=int, count=len(con.b))
             coef = np.fromiter(con.b.values(), dtype=float, count=len(con.b))
             rows.append((idx, coef, -con.c))

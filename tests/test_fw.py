@@ -32,6 +32,12 @@ def quadratic_objective(q_diag, center, n):
     return SmoothObjective(prob, p=1.5)
 
 
+def validate(active, tol=1e-9):
+    """The active set's weights are nonnegative and sum to one."""
+    assert all(w >= -tol for w in active.weights)
+    assert abs(sum(active.weights) - 1.0) <= tol
+
+
 class TestSecant:
     def test_hand_root(self):
         gamma = secant_step(lambda g: 2.0 * (g - 0.3), 1.0)
@@ -80,12 +86,12 @@ class TestActiveSet:
         rng = np.random.default_rng(3)
         active = ActiveSet.from_vertex(np.array([0.0, 0.0]))
         active.fw_step(np.array([1.0, 0.0]), 0.5)
-        active.validate()
+        validate(active)
         active.fw_step(np.array([0.0, 1.0]), 0.25)
-        active.validate()
+        validate(active)
         away, local = active.extremes(np.array([1.0, -1.0]))
         active.pairwise_step(away, local, active.weights[away] / 2)
-        active.validate()
+        validate(active)
         assert sum(active.weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_drop_on_full_transfer(self):
@@ -153,7 +159,7 @@ class TestBpcg:
         obj = quadratic_objective([1.0, 1.0], [0.5, 0.5], 2)
         res = bpcg(obj, box_region([0, 0], [1, 1]), max_iter=1, eps=1e-12)
         assert res.iterations == 1
-        res.active_set.validate()
+        validate(res.active_set)
 
     def test_matches_projected_gradient_oracle(self):
         rng = np.random.default_rng(13)

@@ -320,6 +320,16 @@ class TestReports:
         assert report.ttf == 300.0
         assert report.best_objective is None
 
+    def test_event_time_rounded_past_the_limit_is_clamped(self):
+        # round(1.0007, 3) is 1.001, past a 1.0008 s limit; the report
+        # keeps the solution instead of failing the horizon check
+        report = build_report("x", "feasible", [(1.0007, -1.0)], {}, time_limit=1.0008,
+                              reference=-1.0)
+        assert report.events == [(1.0008, -1.0)]
+        assert report.ttf == 1.0008
+        assert report.best_objective == -1.0
+        assert report.gap == 0.0
+
     def test_single_incumbent_ttf(self):
         report = build_report("inst", "feasible", [(2.0, 5.0)], {}, time_limit=10.0)
         assert report.ttf == 2.0

@@ -28,6 +28,17 @@ from quadfw.model import Problem, VarKind
 from quadfw.penalty import SmoothObjective
 
 
+# (a, b, c, ub) of LP b16561 of family b of scripts/lp_fingerprint.py
+B16561 = (
+    [[-1, -2, -1, 1e-09, 1e-09, 1, 2], [1e-09, 1, 1, 1e-09, 1, -1, 0],
+     [1, 1, 0, -1, 2, -1, -2], [1, -2, 1, 2, 1e-09, -1, 1e-09],
+     [0, 1e-09, 1e-09, 1e-09, 1e-09, -2, 1e-09], [1e-09, 1, 0, -2, 0, 0, 2],
+     [2, 1e-09, -1, 2, -1, 1, 2], [1e-09, 1e-09, 0, -1, 2, 1e-09, -1]],
+    [2.000000002, 2e-09, -4, 4.000000001, 3.0000000000000004e-09, -2, 6, -3],
+    [-1, 3, -3, -2, 2, 0, -1], [1, 1, 2, 2, 1, 1, 2],
+)
+
+
 def box(lb, ub, integer=None, a=None, b=None):
     lb = np.asarray(lb, dtype=float)
     mask = np.zeros(len(lb), dtype=bool) if integer is None else np.asarray(integer)
@@ -303,8 +314,8 @@ class TestSolveLp:
     # the row tolerance once and the run goes on from that basis.  The
     # third LP (integer coefficients and 1e-9 entries, tight at
     # (1, 0, 0, 2)) revisits a basis before any other fault.  The fourth
-    # pivots on a 1e-9 entry, loosens its rows after the ratio test and
-    # then cycles on them; it is solved by the restart from the slack basis.
+    # once pivoted on a 1e-9 entry and then cycled on its loosened rows;
+    # the relative pivot tolerance refuses that pivot.
     @pytest.mark.parametrize("a, b, c, ub, value, tol", [
         ([[-2.0123598289726474, 0.0, 0.6817846040576864, -1e-09, 0.5808353159415124],
           [0.7815059639629106, -1e-09, 0.056783299358786246, -1e-09, 0.08787783354366746]],
@@ -334,6 +345,78 @@ class TestSolveLp:
         assert res.status == "optimal"
         assert res.value == pytest.approx(value, abs=tol)
         assert region.contains(res.point)
+
+    # Three LPs of family b of scripts/lp_fingerprint.py (b8101, b8797,
+    # b16561): integer rows with 1e-9 entries, tight at an integer point.
+    # The parent is solved cold, one bound is tightened and the child is
+    # solved from the parent's state.  Each child once cycled on its
+    # loosened rows after a pivot on a 1e-9 entry.
+    @pytest.mark.parametrize("a, b, c, ub, j, upper, value", [
+        ([[1e-09, 1e-09, 1, 1e-09, 1, 1, 1e-09, -1], [2, 2, 0, 1, 1e-09, 0, -2, -2],
+          [-1, 0, 1, -2, -2, 1e-09, 1e-09, 0], [1, -2, 1e-09, 1, 0, -2, 1e-09, -2],
+          [1e-09, -1, -1, -1, -1, -2, 0, 1e-09], [2, 2, 2, -2, 0, -1, 2, 1],
+          [-2, 1, 1, -1, 1, 2, 1e-09, 2], [1, -1, -1, 1e-09, 1e-09, 0, 2, 1e-09],
+          [-1, 1e-09, 0, -2, -1, 0, -2, 1e-09]],
+         [2.9999999151542056e-09, 3, -3, 1.000000001, -1.999999997, 5, -2, 1.000000002,
+          -3.999999999],
+         [2, -2, 3, 2, -3, -2, 2, 1], [2, 1, 2, 2, 1, 1, 1, 1], 3, True, 10.0),
+        ([[2, 1e-09, 2, 2, 0, 1], [1, -2, -2, 0, -1, 1], [0, 1e-09, 2, 2, 1e-09, 1e-09],
+          [1, 2, 2, -1, -2, 1e-09], [1, -2, 1, -2, 0, -1], [-2, -2, 2, -2, 1e-09, -2],
+          [1e-09, -1, 1e-09, -2, -2, 1], [-2, 1e-09, -1, -2, 2, 1]],
+         [3, 1, 2.000000001, -0.999999999, -3, -4, -1, -1],
+         [-2, 3, 2, 0, -3, 2], [1, 1, 2, 2, 2, 2], 4, False, -1.750000296625002),
+        (*B16561, 0, True, -8.000000175),
+    ])
+    def test_warm_child_on_tiny_entries_is_solved(self, a, b, c, ub, j, upper, value):
+        region = box(np.zeros(len(ub)), ub, a=a, b=b)
+        parent = solve_lp(np.array(c, dtype=float), region)
+        assert parent.status == "optimal"
+        lb, ub = region.lb.copy(), region.ub.copy()
+        if upper:
+            ub[j] -= 1.0
+        else:
+            lb[j] += 1.0
+        child = solve_lp(np.array(c, dtype=float), region.with_bounds(lb, ub),
+                         start=parent.state)
+        assert child.status == "optimal"
+        assert child.value == pytest.approx(value, abs=1e-9)
+
+    # Cold solves of family b of scripts/lp_fingerprint.py (b986, b2646,
+    # b9796, b13254, b16561) that pivoted on a 1e-9 entry and ended as
+    # optimal far above the optimum (b9796: 3.0 against -6.5).
+    @pytest.mark.parametrize("a, b, c, ub", [
+        ([[1e-09, -2, -1, -1, -1, 0, 1, 2], [-1, 0, 1, -2, 0, 1e-09, 2, 1e-09],
+          [0, 2, 1e-09, 0, -1, -2, -2, 2], [1, 0, 0, 1e-09, 1, -1, 2, -2],
+          [1, 0, 1e-09, 1e-09, 0, 1e-09, -1, 1], [-1, 2, -1, 1, 2, 1, 1, 0],
+          [1, 1, -2, 1, -2, 1e-09, 2, 2], [1e-09, -1, 1, -2, 1, 0, -1, 1]],
+         [-2, 3.000000002, 2.000000001, -1, 2.0000000544584395e-09, 5, 4.000000001, -1],
+         [0, 2, -1, -3, -2, -1, 0, 0], [1, 2, 2, 1, 1, 1, 1, 1]),
+        ([[0, -1, 0, 2], [-1, 1e-09, -1, 0], [1, 1e-09, 1, 1e-09], [0, 0, 1e-09, 0],
+          [1, -1, 0, -2], [2, 1e-09, -2, 1e-09]],
+         [0, -1, 1, 0, 1, 2], [1, -3, 2, 0], [1, 2, 2, 1]),
+        ([[0, 1e-09, -2], [-2, 0, -2], [0, 0, 1e-09], [-1, -2, -2], [0, 2, 1e-09],
+          [-1, 1, 2], [1e-09, 1e-09, 1e-09]],
+         [1e-09, 0, 0, -2, 2, 1, 1e-09], [-1, 3, -3], [2, 1, 2]),
+        ([[2, 1, 1e-09, 0, 0], [1, 1e-09, 0, 1, 1], [-1, 1e-09, -2, 2, 1e-09],
+          [1e-09, 1e-09, -2, 1, 1], [1e-09, -1, -2, -1, 1e-09], [1, -2, 0, 0, 0],
+          [1e-09, 2, 0, 1e-09, 0], [1, 2, -2, -1, 1e-09], [2, 0, -2, 0, -2]],
+         [2, 2.000000002, 2.0000000030000002, 2.000000002, -2.999999999, -4, 4.000000001,
+          3.000000001, -2],
+         [2, -2, -2, 3, -3], [1, 2, 1, 1, 2]),
+        B16561,
+    ])
+    def test_cold_solve_on_tiny_entries_matches_highs(self, a, b, c, ub):
+        res = solve_lp(np.array(c, dtype=float), box(np.zeros(len(ub)), ub, a=a, b=b))
+        ref = linprog(c, A_ub=a, b_ub=b, bounds=[(0, u) for u in ub], method="highs")
+        assert res.status == "optimal" and ref.status == 0
+        assert res.value == pytest.approx(ref.fun, abs=1e-6 * max(1.0, abs(ref.fun)))
+
+    def test_small_pivot_relative_to_its_row_enters(self):
+        # 5e-8 x >= 1e-3 over [0, 1e5], as presolve's artificial bounds
+        # make: an absolute pivot tolerance of 1e-7 calls it infeasible
+        res = solve_lp(np.array([1.0]), box([0.0], [1e5], a=[[-5e-8]], b=[-1e-3]))
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(2e4, rel=1e-9)
 
     def test_degenerate_lp_terminates(self):
         # many redundant rows through one vertex (classic cycling bait)
