@@ -6,6 +6,8 @@ rounded iterate is fed through the solution pool's evaluation callback
 (original objective, original constraints), children inherit a partition
 of the parent's active set, and the search restarts every
 ``restart_interval`` nodes alternating warm and random reseeding.
+``solve`` applies that rule itself, counting nodes and restarts on the
+``SolveTrace`` it returns, which holds the one copy of those counters.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class Node:
     lb: np.ndarray
     ub: np.ndarray
     active_set: ActiveSet | None
-    depth: int
     init_direction: np.ndarray | None = None
 
 
@@ -204,37 +205,9 @@ def branch(node: Node, k: int, x_relax: np.ndarray) -> tuple[Node, Node]:
         active.renormalize()
         return active
 
-    down = Node(node.lb.copy(), down_ub, make(down_vs, down_ws), node.depth + 1)
-    up = Node(up_lb, node.ub.copy(), make(up_vs, up_ws), node.depth + 1)
+    down = Node(node.lb.copy(), down_ub, make(down_vs, down_ws))
+    up = Node(up_lb, node.ub.copy(), make(up_vs, up_ws))
     return down, up
-
-
-# ---------------------------------------------------------------------------
-# restarts
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RestartState:
-    node_count: int = 0
-    restart_count: int = 0
-    incumbent_available: bool = False
-    first_kind: str | None = None  # fixed at the first restart
-
-
-def restart_policy(state: RestartState, config: Config) -> str:
-    """continue / restart_warm / restart_random, every R nodes, warm and
-    random alternating (warm first when an incumbent exists)."""
-    interval = config.restart_interval
-    if state.node_count == 0 or state.node_count % interval != 0:
-        return "continue"
-    if state.first_kind is None:
-        return "restart_warm" if state.incumbent_available else "restart_random"
-    order = ("warm", "random") if state.first_kind == "warm" else ("random", "warm")
-    scheduled = order[state.restart_count % 2]
-    if scheduled == "warm" and not state.incumbent_available:
-        return "restart_random"
-    return f"restart_{scheduled}"
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +263,6 @@ def solve(
     region0 = region_from_problem(problem)
     cache = VertexCache()
     rng = np.random.default_rng(config.seed)
-    state = RestartState()
 
     run_lns = config.enable_lns
     last_asens = -_LNS_COOLDOWN
@@ -354,7 +326,7 @@ def solve(
                 cache.insert(seed_point)
         if kind == "random":
             direction = rng.standard_normal(problem.n)
-        return Node(problem.lb.copy(), problem.ub.copy(), active, 0, init_direction=direction)
+        return Node(problem.lb.copy(), problem.ub.copy(), active, init_direction=direction)
 
     value, point = store.read() if store is not None else (math.inf, None)
     if point is not None:
@@ -362,13 +334,14 @@ def solve(
         trace.adoptions = 1
     stack: list[Node] = [make_root("warm" if point is not None else "initial")]
     termination = "exhausted"
+    first_warm = False  # the kind of the first restart, fixed when it happens
 
     while stack:
         now = time.monotonic()
         if now > deadline:
             termination = "time_limit"
             break
-        if config.node_limit is not None and state.node_count >= config.node_limit:
+        if config.node_limit is not None and trace.node_count >= config.node_limit:
             termination = "node_limit"
             break
         node = stack.pop()
@@ -389,7 +362,7 @@ def solve(
             # an empty region, or a MIP-LMO stopped before finding a vertex
             infeasible_node = True
             trace.lmo_calls += exc.lmo_calls
-            if state.node_count == 0 and node.depth == 0 and not stack:
+            if trace.node_count == 0:  # the first root
                 termination = "time_limit" if time.monotonic() > deadline else "root_infeasible"
 
         if not infeasible_node:
@@ -400,7 +373,7 @@ def solve(
             submit(round_integers(x_relax, region0.integer_mask, problem.lb, problem.ub))
 
             if run_lns and has_binaries and (
-                not has_continuous or state.node_count % 10 == 0
+                not has_continuous or trace.node_count % 10 == 0
             ):
                 lns.probability_rounding(
                     x_relax, problem, trials=10, rng=rng, subsolve=subsolve, submit=submit,
@@ -415,21 +388,21 @@ def solve(
                 run_lns
                 and config.enable_asens
                 and len(result.active_set) >= 2
-                and state.node_count - last_asens >= _LNS_COOLDOWN
+                and trace.node_count - last_asens >= _LNS_COOLDOWN
             ):
                 cand = lns.asens(result.active_set, problem, subsolve)
                 if cand is not None:
-                    last_asens = state.node_count
+                    last_asens = trace.node_count
                     submit(cand)
             if (
                 run_lns
                 and config.enable_rins
                 and pool.incumbent_point is not None
-                and state.node_count - last_rins >= _LNS_COOLDOWN
+                and trace.node_count - last_rins >= _LNS_COOLDOWN
             ):
                 cand = lns.rins(pool.incumbent_point, x_relax, problem, subsolve)
                 if cand is not None:
-                    last_rins = state.node_count
+                    last_rins = trace.node_count
                     submit(cand)
             if run_lns and config.enable_undercover and not undercover_done:
                 reference = pool.best_reference()
@@ -447,18 +420,19 @@ def solve(
                 stack.append(up)
                 stack.append(down)  # down branch explored first
 
-        state.node_count += 1
-        trace.node_count = state.node_count
-        state.incumbent_available = pool.incumbent_point is not None
-        action = restart_policy(state, config)
-        if action != "continue":
-            if state.first_kind is None:
-                state.first_kind = "warm" if action == "restart_warm" else "random"
-            state.restart_count += 1
-            trace.restart_count = state.restart_count
+        # every R nodes a restart: the first is warm when an incumbent
+        # exists, the kinds then alternate, and a warm turn without an
+        # incumbent goes random
+        trace.node_count += 1
+        if trace.node_count % config.restart_interval == 0:
+            has_incumbent = pool.incumbent_point is not None
+            if trace.restart_count == 0:
+                first_warm = has_incumbent
+            warm = has_incumbent and (trace.restart_count % 2 == 0) == first_warm
+            trace.restart_count += 1
             undercover_done = False
             ftg_pending = run_lns and config.enable_ftg
-            stack = [make_root("warm" if action == "restart_warm" else "random")]
+            stack = [make_root("warm" if warm else "random")]
 
     trace.termination = termination
     return trace

@@ -63,8 +63,8 @@ def _solve(args: argparse.Namespace) -> int:
         config = Config(
             time_limit=args.time_limit,
             workers=args.workers,
-            p_grid=args.p if args.p else DEFAULT_P_GRID,
-            ell_grid=args.ell if args.ell else DEFAULT_ELL_GRID,
+            p_grid=args.p if args.p is not None else DEFAULT_P_GRID,
+            ell_grid=args.ell if args.ell is not None else DEFAULT_ELL_GRID,
             fw_iter=args.fw_iter,
             restart_interval=args.restart,
             seed=args.seed,

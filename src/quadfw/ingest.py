@@ -124,6 +124,8 @@ def parse_canonical(text: str) -> Problem:
                 raise ParseError("expected SENSE MIN|MAX", lineno)
             sense = fields[1].upper()
         elif directive == "NVARS":
+            if n is not None:
+                raise ParseError("duplicate NVARS directive", lineno)
             if len(fields) != 2:
                 raise ParseError("expected NVARS <n>", lineno)
             try:

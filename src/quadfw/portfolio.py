@@ -1,6 +1,6 @@
 """Portfolio: W workers with varied penalty exponents (or
 convexification proportions for all-binary QPs), a shared monotone
-incumbent store, and a merged incumbent trace.
+incumbent store, and one incumbent trace.
 
 Worker assignment is static round-robin over the applicable grid; each
 worker gets seed ``base_seed + index``.  The workers run one after the
@@ -12,17 +12,17 @@ count toward the time limit, the TTF and the primal integral.  Workers
 poll their stop time at node boundaries, LMO entry and every simplex
 pivot, which bounds the overrun to the rest of one node.  A later worker
 adopts the store's incumbent at its first root, which then starts warm
-from it.  A worker's exception
-propagates and no later worker runs.  A best point on one of presolve's
-artificial bounds adds ``+artificial_bound`` to the report's termination.
+from it, so each worker's events improve on every earlier worker's and
+the run's trace is the workers' events in the order they ran.  A worker's
+exception propagates and no later worker runs.  A best point on one of
+presolve's artificial bounds adds ``+artificial_bound`` to the report's
+termination.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-
-import numpy as np
 
 from . import bnb
 from .config import Config
@@ -43,24 +43,8 @@ def _worker_setup(base: Problem, config: Config, w: int) -> tuple[Config, Proble
     return config.for_worker(w), base, p
 
 
-def merge_traces(traces: list[bnb.SolveTrace]) -> list[tuple[float, float]]:
-    """Earliest time each objective level was reached, strictly improving
-    (internal minimization sense)."""
-    events = sorted(
-        (ev for trace in traces for ev in trace.events),
-        key=lambda ev: (ev[0], ev[1]),
-    )
-    merged = []
-    best = np.inf
-    for (t, v) in events:
-        if v < best:
-            merged.append((t, v))
-            best = v
-    return merged
-
-
 def run_portfolio(problem: Problem, config: Config, return_details: bool = False):
-    """Presolve, run the workers, merge traces, build the run report.
+    """Presolve, run the workers, build the run report from their traces.
 
     Every event time is measured from the moment of this call, and the
     time limit ends there plus ``config.time_limit``.  With
@@ -104,9 +88,8 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
             store=store,
             t0=origin,
         ))
-    merged = merge_traces(traces)
-    events = [(t, sign * v) for (t, v) in merged]
-    status = "feasible" if merged else "no_solution"
+    events = [(t, sign * v) for trace in traces for (t, v) in trace.events]
+    status = "feasible" if events else "no_solution"
     terminations = sorted({t.termination for t in traces if t.termination})
     _, best = store.read()
     if best is not None and presolved.on_artificial_bound(best):

@@ -10,11 +10,9 @@ from quadfw import bnb, fw, lns
 from quadfw.bnb import (
     IncumbentStore,
     Node,
-    RestartState,
     SolutionPool,
     SolveTrace,
     branch,
-    restart_policy,
     solve,
 )
 from quadfw.config import Config
@@ -78,7 +76,7 @@ class TestSelectBranching:
 class TestBranch:
     def parent(self, vertices, weights):
         active = ActiveSet(vertices, weights)
-        return Node(np.zeros(2), np.ones(2), active, depth=1)
+        return Node(np.zeros(2), np.ones(2), active)
 
     def test_partition_by_coordinate(self):
         node = self.parent([np.array([0.0, 1.0]), np.array([1.0, 0.0])], [0.4, 0.6])
@@ -87,7 +85,6 @@ class TestBranch:
         assert len(down.active_set) == 1
         assert np.array_equal(down.active_set.vertices[0], [0.0, 1.0])
         assert len(up.active_set) == 1
-        assert down.depth == node.depth + 1
         # renormalized weights
         assert down.active_set.weights == [1.0]
         assert up.active_set.weights == [1.0]
@@ -111,30 +108,55 @@ class TestBranch:
         assert down.ub[1] == 0.0 and up.lb[1] == 1.0
 
 
-class TestRestartPolicy:
-    def config(self, r=10):
-        return Config(restart_interval=r, workers=1)
+class TestRestartKinds:
+    """The kind of each restart root, read from the bpcg call that follows
+    every R-th node (without LNS, every bpcg call is one node)."""
 
-    def test_first_restart_warm_with_incumbent(self):
-        state = RestartState(node_count=10, restart_count=0, incumbent_available=True)
-        assert restart_policy(state, self.config()) == "restart_warm"
+    def kinds(self, monkeypatch, accept_from, restarts, r=10):
+        # f = sum (x_i - 1/2)^2 - n/4 over 8 binaries: every relaxation is
+        # fractional, so no tree runs out before its restart
+        n = 8
+        p = binary_problem(n, [(i, i, 1.0) for i in range(n)], -np.ones(n))
+        calls = []
+        bpcg, submit = bnb.bpcg, bnb.SolutionPool.submit
 
-    def test_random_without_incumbent(self):
-        state = RestartState(node_count=10, restart_count=0, incumbent_available=False)
-        assert restart_policy(state, self.config()) == "restart_random"
+        def logged(*args, **kwargs):
+            calls.append(kwargs)
+            return bpcg(*args, **kwargs)
 
-    def test_continue_between_intervals(self):
-        state = RestartState(node_count=9, restart_count=0, incumbent_available=True)
-        assert restart_policy(state, self.config()) == "continue"
+        def gated(pool, x):
+            # no incumbent before node accept_from
+            return pool.trace.node_count >= accept_from and submit(pool, x)
 
-    def test_alternation(self):
-        cfg = self.config()
-        state = RestartState(node_count=20, restart_count=1,
-                             incumbent_available=True, first_kind="warm")
-        assert restart_policy(state, cfg) == "restart_random"
-        state = RestartState(node_count=30, restart_count=2,
-                             incumbent_available=True, first_kind="warm")
-        assert restart_policy(state, cfg) == "restart_warm"
+        monkeypatch.setattr(bnb, "bpcg", logged)
+        monkeypatch.setattr(bnb.SolutionPool, "submit", gated)
+        cfg = Config(workers=1, time_limit=60.0, node_limit=r * restarts + 1,
+                     restart_interval=r, enable_lns=False)
+        trace = solve(p, cfg)
+        assert trace.node_count == len(calls) == r * restarts + 1
+        assert trace.restart_count == restarts
+        kinds = []
+        for call in calls[r::r]:
+            if call["init_direction"] is not None:
+                assert call["warm"] is None
+                kinds.append("random")
+            else:
+                assert len(call["warm"]) == 1  # the incumbent
+                kinds.append("warm")
+        return kinds
+
+    def test_warm_first_with_incumbent_then_alternate(self, monkeypatch):
+        assert self.kinds(monkeypatch, accept_from=0, restarts=3) == ["warm", "random", "warm"]
+
+    def test_random_first_without_incumbent_then_alternate(self, monkeypatch):
+        # the first incumbent arrives between the first and second restart
+        assert self.kinds(monkeypatch, accept_from=11, restarts=3) == ["random", "warm", "random"]
+
+    def test_warm_turn_without_incumbent_goes_random(self, monkeypatch):
+        # the second restart is a warm turn, but no incumbent exists until
+        # node 21; the fourth, a warm turn again, has one
+        assert self.kinds(monkeypatch, accept_from=21, restarts=4) == [
+            "random", "random", "random", "warm"]
 
 
 class TestSolve:

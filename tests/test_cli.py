@@ -11,7 +11,7 @@ from quadfw.config import Config
 from quadfw.ingest import parse_canonical
 from quadfw.lmo import vertex_key
 from quadfw.model import Problem, QuadConstraint, VarKind, check_feasibility
-from quadfw.portfolio import merge_traces, run_portfolio
+from quadfw.portfolio import run_portfolio
 
 from conftest import random_binary_qp, random_miqcqp
 
@@ -146,6 +146,28 @@ class TestSolveCommand:
         assert report["status"] == "error"
         assert message in report["termination"]
 
+    @pytest.mark.parametrize("flag, value", [("--p", ""), ("--ell", ",")],
+                             ids=["p_empty", "ell_comma"])
+    def test_empty_grid_exit_code(self, tmp_path, capsys, flag, value):
+        # an empty list used to fall back to the default grid and run
+        inst = tmp_path / "quad.qfw"
+        inst.write_text(QUADRATIC_ROW)
+        assert main(["solve", str(inst), "--workers", "1", "--time-limit", "5",
+                     "--node-limit", "5", flag, value]) == 1
+        report = json.loads(capsys.readouterr().err, parse_constant=pytest.fail)
+        assert report["status"] == "error"
+        assert "grids must not be empty" in report["termination"]
+
+    def test_duplicate_nvars_exit_code(self, tmp_path, capsys):
+        # a second NVARS used to shrink n, and the solve died on an IndexError
+        inst = tmp_path / "twice.qfw"
+        inst.write_text("NVARS 3\nVAR 0 B 0 1\nVAR 1 B 0 1\nVAR 2 B 0 1\n"
+                        "OBJ LIN 2 5\nNVARS 2\n")
+        assert main(["solve", str(inst), "--workers", "1", "--time-limit", "5"]) == 1
+        report = json.loads(capsys.readouterr().err, parse_constant=pytest.fail)
+        assert report["status"] == "error"
+        assert "duplicate NVARS directive" in report["termination"]
+
     def test_removed_flag_is_a_usage_error(self, tmp_path):
         inst = tmp_path / "inst.qfw"
         inst.write_text(INSTANCE)
@@ -267,11 +289,15 @@ class TestPortfolio:
             for x in trace.event_points:
                 assert check_feasibility(p, x, 1e-6, 1e-6).feasible
 
-    def test_merge_traces_earliest_level(self):
-        t1 = bnb.SolveTrace(events=[(1.0, 5.0), (4.0, 1.0)])
-        t2 = bnb.SolveTrace(events=[(2.0, 3.0), (3.0, 1.0)])
-        merged = merge_traces([t1, t2])
-        assert merged == [(1.0, 5.0), (2.0, 3.0), (3.0, 1.0)]
+    def test_report_events_are_the_workers_events_in_order(self):
+        # each later worker starts from the store's best, so its events
+        # improve on every earlier worker's and need no merge
+        p = random_miqcqp(np.random.default_rng(1), 8, n_quad=2, n_lin=2)
+        cfg = Config(workers=3, time_limit=60.0, node_limit=8, seed=0)
+        report, traces = run_portfolio(p, cfg, return_details=True)
+        assert sum(1 for t in traces if t.events) >= 2
+        assert report.events == [
+            (round(t, 3), v) for trace in traces for (t, v) in trace.events]
 
     def test_max_sense_reporting(self):
         # maximize x0 + x1: internal minimization of the negation

@@ -231,6 +231,38 @@ class TestBpcg:
         second = bpcg(obj, region, max_iter=50, eps=1e-6, cache=cache)
         assert second.lmo_calls <= first.lmo_calls
 
+    def test_cached_vertex_without_progress_pays_one_fresh_call(self, monkeypatch):
+        # min -x0 - x1 over two binaries starts at its minimizer (1, 1).
+        # Every MIP search stops with its incumbent ("timeout"), so the gap
+        # of 0 is not proven and the run goes on.  The lookup's threshold
+        # is then 0, which the cached (1, 1) itself passes, but the step
+        # toward it has gamma = 0: bpcg pays for one fresh MIP call.
+        log = []
+        real_mip, real_lookup = fw.mip_lmo, fw.lazy_lookup
+
+        def stopped(direction, region, deadline=math.inf):
+            log.append("mip")
+            res = real_mip(direction, region, deadline=deadline)
+            return MipResult(res.point, res.value, "timeout")
+
+        def lookup(*args):
+            v = real_lookup(*args)
+            log.append("lazy miss" if v is None else "lazy hit")
+            return v
+
+        monkeypatch.setattr(fw, "mip_lmo", stopped)
+        monkeypatch.setattr(fw, "lazy_lookup", lookup)
+        prob = Problem(n=2, terms_obj=[], d=np.array([-1.0, -1.0]), c0=0.0,
+                       constraints=[], lb=np.zeros(2), ub=np.ones(2),
+                       integrality=[VarKind.BINARY] * 2)
+        res = bpcg(SmoothObjective(prob, p=1.5), box_region([0, 0], [1, 1], integer=True),
+                   max_iter=1, eps=1e-6, cache=VertexCache())
+        # the first vertex, the first FW vertex, then the lazy hit's fallback
+        assert log == ["mip", "mip", "lazy hit", "mip"]
+        assert res.lmo_calls == 3
+        assert res.status == "ok"
+        assert np.array_equal(res.x, [1.0, 1.0])
+
     def test_final_value_never_worse_than_start(self):
         rng = np.random.default_rng(31)
         for _ in range(10):

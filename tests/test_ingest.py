@@ -77,6 +77,15 @@ class TestCanonical:
         with pytest.raises(ParseError):
             parse_canonical("NVARS 1\nVAR 0 C 0 1\nVAR 0 C 0 1\n")
 
+    @pytest.mark.parametrize("obj", ["OBJ LIN 2 5\n", ""])
+    def test_duplicate_nvars(self, obj):
+        # a second NVARS used to shrink n: with the OBJ line the solve hit an
+        # IndexError, without it variable 2 was silently dropped
+        text = "NVARS 3\nVAR 0 B 0 1\nVAR 1 B 0 1\nVAR 2 B 0 1\n" + obj + "NVARS 2\n"
+        with pytest.raises(ParseError, match="duplicate NVARS directive") as err:
+            parse_canonical(text)
+        assert f"line {5 + bool(obj)}" in str(err.value)
+
     def test_index_out_of_range(self):
         with pytest.raises(ParseError):
             parse_canonical("NVARS 1\nVAR 0 C 0 1\nOBJ LIN 3 1\n")
