@@ -8,6 +8,9 @@ of the parent's active set, and the search restarts every
 ``restart_interval`` nodes alternating warm and random reseeding.
 ``solve`` applies that rule itself, counting nodes and restarts on the
 ``SolveTrace`` it returns, which holds the one copy of those counters.
+A portfolio worker whose stack runs dry with budget left pushes a random
+root (a reseed); an LNS sub-solve ends there instead, and also once it
+has gone ``stall_nodes`` nodes without a new incumbent.
 """
 
 from __future__ import annotations
@@ -51,12 +54,16 @@ class SolveTrace:
     incumbent_reform: np.ndarray | None = None
     node_count: int = 0
     restart_count: int = 0
+    reseeds: int = 0  # random roots pushed when the stack ran dry
     termination: str = ""
     # MIP-oracle calls of every node, an infeasible one included, and of
     # the LNS sub-solves that ran
     lmo_calls: int = 0
     # store incumbents adopted: 1 when the store held one at the first root
     adoptions: int = 0
+    # nodes of the LNS sub-solves that ran, and how many the stall rule ended
+    sub_nodes: int = 0
+    sub_stalls: int = 0
 
 
 class IncumbentStore:
@@ -137,9 +144,13 @@ class SolutionPool:
         if key in self.entries:
             return False
         x_orig = self.uncrush(cand)
-        report = check_feasibility(self.original, x_orig)
         value = eval_objective(self.original, x_orig)
         self.entries.add(key)
+        # a candidate that cannot beat the incumbent needs no check: with
+        # an incumbent, the best-ranked candidate is never read
+        if self.incumbent_point is not None and not value < self.incumbent_value:
+            return False
+        report = check_feasibility(self.original, x_orig)
         if (report.max_violation, value) < self._best_rank:
             self._best_rank = (report.max_violation, value)
             self._best_point = cand
@@ -228,6 +239,8 @@ def solve(
     repair=None,
     store: IncumbentStore | None = None,
     t0: float | None = None,
+    *,
+    stall_nodes: int | None = None,
 ) -> SolveTrace:
     """Explore the penalty-relaxed problem depth-first and collect
     original-feasible incumbents.
@@ -241,7 +254,16 @@ def solve(
     the first root starts warm from it, as a warm restart does.  Only this
     search writes the store while it runs, together with its own
     incumbent, so the store is not read again.  Never prunes on objective
-    bounds; stops on the time limit, the node limit, or an exhausted stack.
+    bounds; stops on the time limit or the node limit, and with
+    ``stall_nodes`` once that many nodes in a row have brought no new
+    incumbent (``"stalled"``).  A search past its deadline reports
+    ``"time_limit"``, whatever emptied its stack.  A search with a store
+    (a portfolio worker) whose stack runs dry with budget left pushes a
+    random root, counted in ``reseeds``, apart from ``restart_count``.
+    Once a reseed root's relaxation rounds to a candidate the pool has
+    seen, or finds no vertex, the next dry stack ends the search
+    ``"exhausted"``, as any dry stack ends a search without a store (an
+    LNS sub-solve).
     """
     if not problem.bounds_finite():
         raise ValueError("solve requires finite bounds; run presolve first")
@@ -289,12 +311,15 @@ def solve(
     # Every sub-problem is ``replace(problem, lb=..., ub=...)``, and the
     # nested solve reads nothing else that changes within this call
     # (config and seed, objective, original, uncrush, repair and t0 are
-    # fixed), so under its node limit it is a pure function of the bounds;
-    # under the deadline a repeat would only have less time.  Each distinct
-    # pair of bounds is therefore solved once per call, across restarts.
+    # fixed, and its node cap and stall limit are constants), so under its
+    # node limit it is a pure function of the bounds; under the deadline a
+    # repeat would only have less time.  Each distinct pair of bounds is
+    # therefore solved once per call, across restarts.
     solved: dict[tuple[bytes, bytes], np.ndarray | None] = {}
 
     def subsolve(sub_problem: Problem):
+        """Solve a sub-problem without LNS, to the node cap or the stall
+        limit, and return its incumbent (reform space) or None."""
         # + 0.0: bounds that differ only in the sign of a zero are one key
         key = ((sub_problem.lb + 0.0).tobytes(), (sub_problem.ub + 0.0).tobytes())
         if key in solved:
@@ -310,8 +335,11 @@ def solve(
             repair=repair,
             store=None,
             t0=t0,
+            stall_nodes=lns.SUBPROBLEM_STALL_NODES,
         )
         trace.lmo_calls += sub_trace.lmo_calls
+        trace.sub_nodes += sub_trace.node_count
+        trace.sub_stalls += sub_trace.termination == "stalled"
         solved[key] = sub_trace.incumbent_reform
         return solved[key]
 
@@ -335,17 +363,28 @@ def solve(
     stack: list[Node] = [make_root("warm" if point is not None else "initial")]
     termination = "exhausted"
     first_warm = False  # the kind of the first restart, fixed when it happens
+    reseed = store is not None  # a dry stack gets a random root
+    last_gain = 0  # node count just after the last node that found an incumbent
 
-    while stack:
-        now = time.monotonic()
-        if now > deadline:
+    while True:
+        if time.monotonic() > deadline:
             termination = "time_limit"
+            break
+        if not stack and not reseed:
             break
         if config.node_limit is not None and trace.node_count >= config.node_limit:
             termination = "node_limit"
             break
+        if stall_nodes is not None and trace.node_count - last_gain >= stall_nodes:
+            termination = "stalled"
+            break
+        reseeded = not stack
+        if reseeded:
+            trace.reseeds += 1
+            stack.append(make_root("random"))
         node = stack.pop()
         region = region0.with_bounds(node.lb, node.ub)
+        found = len(trace.events)
 
         infeasible_node = False
         try:
@@ -363,14 +402,21 @@ def solve(
             infeasible_node = True
             trace.lmo_calls += exc.lmo_calls
             if trace.node_count == 0:  # the first root
-                termination = "time_limit" if time.monotonic() > deadline else "root_infeasible"
+                termination = "root_infeasible"
+            if trace.node_count == 0 or reseeded:
+                reseed = False  # a root without a vertex: the next dry stack ends it
 
         if not infeasible_node:
             trace.lmo_calls += result.lmo_calls
             for v in result.vertices:
                 submit(v)
             x_relax = result.x
+            seen = len(pool.entries)
             submit(round_integers(x_relax, region0.integer_mask, problem.lb, problem.ub))
+            if reseeded and len(pool.entries) == seen:
+                # a random root led back to a point seen before: the next
+                # dry stack ends the search
+                reseed = False
 
             if run_lns and has_binaries and (
                 not has_continuous or trace.node_count % 10 == 0
@@ -420,10 +466,12 @@ def solve(
                 stack.append(up)
                 stack.append(down)  # down branch explored first
 
+        trace.node_count += 1
+        if len(trace.events) > found:
+            last_gain = trace.node_count
         # every R nodes a restart: the first is warm when an incumbent
         # exists, the kinds then alternate, and a warm turn without an
         # incumbent goes random
-        trace.node_count += 1
         if trace.node_count % config.restart_interval == 0:
             has_incumbent = pool.incumbent_point is not None
             if trace.restart_count == 0:

@@ -11,8 +11,10 @@ the bounds); standard rounding is ``round_integers`` itself.
 ASENS, RINS and probability rounding (for its continuous remainder) fix
 variables and hand ``replace(problem, lb=..., ub=...)`` to an injected
 ``subsolve`` callable, which the caller runs without LNS, capped at
-``SUBPROBLEM_NODE_CAP`` nodes and stopped at the run's deadline, so
-sub-solves never nest.  ``subsolve`` solves each distinct pair of bounds
+``SUBPROBLEM_NODE_CAP`` nodes, stopped after ``SUBPROBLEM_STALL_NODES``
+nodes in a row without a new incumbent of its own (the stall-node limit
+of SCIP's sub-MIP heuristics, Berthold 2006) and at the run's deadline,
+so sub-solves never nest.  ``subsolve`` solves each distinct pair of bounds
 once per search and may return the point it stored for an earlier call,
 so callers must not mutate what it returns.  Undercover's remainder is a
 MILP by construction and goes to the internal MIP directly.
@@ -36,6 +38,8 @@ AGREEMENT_TOL = 1e-6
 IMPROVE_TOL = 1e-9
 # node limit of one sub-MIQCQP solve
 SUBPROBLEM_NODE_CAP = 200
+# a sub-solve stops after this many nodes in a row without a new incumbent
+SUBPROBLEM_STALL_NODES = 50
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,16 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
 def _worker_stats(trace: bnb.SolveTrace, objective: SmoothObjective) -> dict:
     """One worker's counters for the report: its search's node count,
     termination, MIP-oracle calls and whether it adopted the store's
-    incumbent, and the calls its objective answered and the stacked row
-    products it computed for them."""
+    incumbent, the nodes of its LNS sub-solves and how many of those the
+    stall limit ended, and the calls its objective answered and the
+    stacked row products it computed for them."""
     return {
         "nodes": trace.node_count,
         "termination": trace.termination,
         "lmo_calls": trace.lmo_calls,
         "adoptions": trace.adoptions,
+        "sub_nodes": trace.sub_nodes,
+        "sub_stalls": trace.sub_stalls,
         "value_calls": objective.n_value_evals,
         "gradient_calls": objective.n_gradient_evals,
         "row_products": objective.n_row_products,

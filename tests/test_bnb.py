@@ -406,6 +406,162 @@ class TestSolve:
         assert point is not None
 
 
+class TestDryStack:
+    """A search with a store (a portfolio worker) whose stack runs dry
+    pushes a random root; one past its deadline says ``time_limit``."""
+
+    def test_a_dry_stack_gets_one_random_root(self, monkeypatch):
+        # a linear objective: every relaxation ends at the vertex (1, 1),
+        # so the reseed root leads back to it and the search ends
+        directions = []
+        bpcg = bnb.bpcg
+
+        def logged(*args, **kwargs):
+            directions.append(kwargs["init_direction"])
+            return bpcg(*args, **kwargs)
+
+        monkeypatch.setattr(bnb, "bpcg", logged)
+        p = binary_problem(2, [], [-1.0, -2.0])
+        cfg = Config(workers=1, time_limit=60.0, node_limit=10, enable_lns=False)
+        trace = solve(p, cfg, store=IncumbentStore())
+        assert (trace.node_count, trace.reseeds, trace.restart_count) == (2, 1, 0)
+        assert trace.termination == "exhausted"
+        assert directions[0] is None and directions[1] is not None
+        assert [v for _, v in trace.events] == [-3.0]
+        # without a store (an LNS sub-solve) the dry stack ends the search
+        trace = solve(p, cfg)
+        assert (trace.node_count, trace.reseeds, trace.termination) == (1, 0, "exhausted")
+
+    def test_reseeds_stop_at_a_root_that_brings_nothing_new(self, monkeypatch):
+        # every node is a leaf, and a node adds a pool entry only before
+        # node 9: reseed roots 1 to 8 go on, the one at node 9 stops the
+        # reseeding, and the restart root at node 10 is the last node
+        def scripted(pool, x):
+            if pool.trace.node_count < 9:
+                pool.entries.add(len(pool.entries))
+            return False
+
+        monkeypatch.setattr(bnb, "most_fractional", lambda x, mask: None)
+        monkeypatch.setattr(bnb.SolutionPool, "submit", scripted)
+        n = 8
+        p = binary_problem(n, [(i, i, 1.0) for i in range(n)], -np.ones(n))
+        cfg = Config(workers=1, time_limit=60.0, node_limit=30, restart_interval=10,
+                     enable_lns=False)
+        trace = solve(p, cfg, store=IncumbentStore())
+        assert (trace.node_count, trace.reseeds, trace.restart_count) == (11, 9, 1)
+        assert trace.termination == "exhausted"
+
+    def test_the_search_without_reseeds_is_a_prefix(self):
+        # the store is read once, empty: the two searches agree until the
+        # first dry stack, where only the one with a store goes on
+        p = random_binary_qp(np.random.default_rng(0), 10)
+        cfg = Config(workers=1, time_limit=60.0, node_limit=60, seed=0)
+        alone = solve(p, cfg)
+        worker = solve(p, cfg, store=IncumbentStore())
+        assert alone.termination == "exhausted" and alone.reseeds == 0
+        assert worker.reseeds >= 1 and worker.node_count > alone.node_count
+        values = [v for _, v in worker.events]
+        assert values[:len(alone.events)] == [v for _, v in alone.events]
+
+    def test_a_root_cut_short_by_the_deadline_is_a_time_limit(self, monkeypatch):
+        # the first random restart root (node 200) sleeps past the deadline,
+        # so its relaxation stops at its first vertex, which is integral:
+        # the stack is empty when the search stops, and the stop is the
+        # deadline's
+        bpcg, first, delayed = bnb.bpcg, {}, []
+
+        def late(*args, **kwargs):
+            # the first call is the first root's: its cache is the top search's
+            top = first.setdefault("cache", kwargs["cache"])
+            if kwargs["cache"] is top and kwargs["init_direction"] is not None and not delayed:
+                delayed.append(True)
+                time.sleep(max(0.0, kwargs["deadline"] - time.monotonic()) + 0.05)
+            return bpcg(*args, **kwargs)
+
+        monkeypatch.setattr(bnb, "bpcg", late)
+        p = random_binary_qp(np.random.default_rng(9), 80)
+        report, (trace,) = run_portfolio(p, Config(workers=1, time_limit=3.0, seed=0),
+                                         return_details=True)
+        assert delayed
+        assert trace.node_count == 201
+        assert trace.termination == report.termination == "time_limit"
+
+
+class TestStallLimit:
+    """``solve(stall_nodes=N)``, as LNS sub-solves run, stops once N nodes
+    in a row have brought no new incumbent."""
+
+    @staticmethod
+    def sub_solve(monkeypatch, stall_nodes):
+        """Solve TestSubsolveReuse's sub-problem without LNS; returns the
+        trace and the index of each node that found an incumbent (its one
+        incumbent comes at node 8, and its tree runs dry at node 31)."""
+        gains = []
+        submit = bnb.SolutionPool.submit
+
+        def recorded(pool, x):
+            won = submit(pool, x)
+            if won:
+                gains.append(pool.trace.node_count)
+            return won
+
+        monkeypatch.setattr(bnb.SolutionPool, "submit", recorded)
+        p = random_miqcqp(np.random.default_rng(2), 16, n_quad=3, n_lin=2)
+        ub = p.ub.copy()
+        ub[0] = p.lb[0]
+        cfg = Config(workers=1, time_limit=60.0, seed=4, enable_lns=False, node_limit=60)
+        trace = solve(replace(p, ub=ub), cfg, objective=SmoothObjective(p, 1.5),
+                      stall_nodes=stall_nodes)
+        return trace, gains
+
+    def test_stops_n_nodes_after_the_last_improvement(self, monkeypatch):
+        trace, gains = self.sub_solve(monkeypatch, 10)
+        assert gains and gains[-1] > 0  # the count restarted at the improvement
+        assert trace.termination == "stalled"
+        assert trace.node_count == gains[-1] + 1 + 10
+
+    def test_without_an_incumbent_stops_at_n_nodes(self, monkeypatch):
+        trace, gains = self.sub_solve(monkeypatch, 5)
+        assert gains == [] and trace.events == []
+        assert (trace.node_count, trace.termination) == (5, "stalled")
+
+    @staticmethod
+    def scripted_solve(monkeypatch, gains, stall_nodes):
+        """Solve a problem whose tree outlives 60 nodes (every relaxation
+        is fractional) with a pool that finds an incumbent at each node
+        index in ``gains`` and nowhere else."""
+        pending = set(gains)
+
+        def scripted(pool, x):
+            node = pool.trace.node_count
+            if node not in pending:
+                return False
+            pending.discard(node)
+            pool.trace.events.append((0.0, -float(node)))
+            return True
+
+        monkeypatch.setattr(bnb.SolutionPool, "submit", scripted)
+        n = 8
+        p = binary_problem(n, [(i, i, 1.0) for i in range(n)], -np.ones(n))
+        cfg = Config(workers=1, time_limit=60.0, node_limit=60, enable_lns=False)
+        return solve(p, cfg, stall_nodes=stall_nodes)
+
+    def test_without_stall_nodes_never_stalls(self, monkeypatch):
+        trace, gains = self.sub_solve(monkeypatch, None)
+        assert trace.termination == "exhausted"
+        assert trace.node_count > gains[-1] + 1 + 10
+        # 59 nodes without an incumbent, and still no stall
+        trace = self.scripted_solve(monkeypatch, {0}, None)
+        assert (trace.node_count, trace.termination) == (60, "node_limit")
+
+    def test_each_improvement_restarts_the_count(self, monkeypatch):
+        # incumbents at nodes 2, 6 and 10, each within 5 nodes of the last:
+        # only a count restarted at every one of them reaches node 16
+        trace = self.scripted_solve(monkeypatch, {2, 6, 10}, 5)
+        assert len(trace.events) == 3
+        assert (trace.node_count, trace.termination) == (16, "stalled")
+
+
 def bounds_key(problem):
     return ((problem.lb + 0.0).tobytes(), (problem.ub + 0.0).tobytes())
 
@@ -429,6 +585,23 @@ class TestSubsolveReuse:
         second = solve(sub, cfg, objective=objective, t0=t0)
         assert first.termination == second.termination == "node_limit"
         assert first.node_count == second.node_count == 30
+        assert [v for (_, v) in first.events] == [v for (_, v) in second.events]
+        assert first.incumbent_reform is not None
+        assert first.incumbent_reform.tobytes() == second.incumbent_reform.tobytes()
+
+    def test_nested_solve_with_a_stall_limit_is_a_function_of_its_bounds(self):
+        # the stall limit is a constant, so the stored point stays exact
+        p = random_miqcqp(np.random.default_rng(2), 16, n_quad=3, n_lin=2)
+        ub = p.ub.copy()
+        ub[0] = p.lb[0]
+        sub = replace(p, ub=ub)
+        cfg = Config(workers=1, time_limit=60.0, seed=4, enable_lns=False, node_limit=30)
+        objective = SmoothObjective(p, 1.5)
+        t0 = time.monotonic()
+        first = solve(sub, cfg, objective=objective, t0=t0, stall_nodes=10)
+        second = solve(sub, cfg, objective=objective, t0=t0, stall_nodes=10)
+        assert first.termination == second.termination == "stalled"
+        assert first.node_count == second.node_count < 30
         assert [v for (_, v) in first.events] == [v for (_, v) in second.events]
         assert first.incumbent_reform is not None
         assert first.incumbent_reform.tobytes() == second.incumbent_reform.tobytes()
@@ -554,6 +727,25 @@ class TestSolutionPool:
         # other bytes that snap to the seen vertex: refused by its key
         assert not pool.submit(np.array([0.2, 0.9]))
         assert (len(repairs), len(checks)) == (2, 1)
+        assert pool.trace.events == [(0.0, -2.0)]
+
+    def test_a_candidate_that_cannot_win_is_not_checked(self, monkeypatch):
+        checks = []
+
+        def counted_check(*args):
+            checks.append(1)
+            return check_feasibility(*args)
+
+        monkeypatch.setattr(bnb, "check_feasibility", counted_check)
+        pool, _ = self.pool([0.0], horizon=1.0)
+        assert pool.submit(np.array([0.0, 1.0]))  # -2, the incumbent
+        assert len(checks) == 1
+        # f = x0 x1 - x0 - 2 x1: a worse value (0) and an equal one (-2)
+        # are seen and refused, without a feasibility check
+        assert not pool.submit(np.array([0.0, 0.0]))
+        assert not pool.submit(np.array([1.0, 1.0]))
+        assert len(checks) == 1
+        assert pool.entries == {vertex_key(np.array(v)) for v in ([0.0, 1.0], [0.0, 0.0], [1.0, 1.0])}
         assert pool.trace.events == [(0.0, -2.0)]
 
     def test_event_stamped_with_the_checked_reading(self):

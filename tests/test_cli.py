@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadfw import bnb, portfolio
+from quadfw import bnb, lns, portfolio
 from quadfw.cli import main
 from quadfw.config import Config
 from quadfw.ingest import parse_canonical
@@ -433,6 +433,24 @@ class TestPortfolio:
         assert all(t <= (started[0] + limit) / 2 for t, _ in traces[0].events)
         assert traces[1].node_count >= 1
         assert all(t <= limit for t, _ in report.events)
+
+    def test_worker_stats_count_the_sub_solves(self, monkeypatch):
+        sub_traces = []
+        solve = bnb.solve
+
+        def recorded(problem, config, **kwargs):
+            trace = solve(problem, config, **kwargs)
+            if kwargs["store"] is None:  # an LNS sub-solve
+                sub_traces.append(trace)
+            return trace
+
+        monkeypatch.setattr(bnb, "solve", recorded)
+        monkeypatch.setattr(lns, "SUBPROBLEM_STALL_NODES", 2)  # these sub-trees are small
+        p = random_miqcqp(np.random.default_rng(4), 10, n_quad=2, n_lin=1)
+        report = run_portfolio(p, Config(workers=1, time_limit=60.0, node_limit=30, seed=0))
+        (entry,) = report.to_dict()["stats"]["workers"]
+        assert entry["sub_nodes"] == sum(t.node_count for t in sub_traces) > 0
+        assert entry["sub_stalls"] == sum(t.termination == "stalled" for t in sub_traces) > 0
 
     def test_node_limited_workers_repeat_exactly(self, monkeypatch):
         # worker 1 adopts worker 0's incumbent from the store at its first root
