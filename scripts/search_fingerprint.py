@@ -5,12 +5,13 @@ For each pool instance of the named workloads (by default the ones
 ``BENCHMARK.json`` declares), the canonical text is parsed and solved
 with ``run_portfolio`` under ``Workload.config(index)``, as the
 benchmark's untraced solve does.  The one JSON object printed holds, per
-instance: the node and restart counts, each worker's node count and the
-``repr`` of every incumbent value each worker found.  Two commits run the
-same search when their outputs are byte-identical.  ``--pool N`` takes
-the first N instances of each workload's family instead of its pool, to
-judge a change that moves results on more instances than the benchmark
-solves.
+instance: the node and restart counts, each worker's node count, the
+nodes of each worker's LNS sub-solves and how many of those the stall
+limit ended, and the ``repr`` of every incumbent value each worker
+found.  Two commits run the same search, nested searches included, when
+their outputs are byte-identical.  ``--pool N`` takes the first N
+instances of each workload's family instead of its pool, to judge a
+change that moves results on more instances than the benchmark solves.
 
     python3 scripts/search_fingerprint.py --workload binqp_lin > a.json
     python3 scripts/search_fingerprint.py --workload parallel_w2 --pool 24 > b.json
@@ -52,6 +53,8 @@ def fingerprint(name: str, size: int | None = None) -> dict:
             "nodes": report.nodes,
             "restarts": report.restarts,
             "worker_nodes": [t.node_count for t in traces],
+            "sub_nodes": [t.sub_nodes for t in traces],
+            "sub_stalls": [t.sub_stalls for t in traces],
             "incumbents": [[repr(v) for _, v in t.events] for t in traces],
         }
     return out

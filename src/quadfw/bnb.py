@@ -10,7 +10,8 @@ of the parent's active set, and the search restarts every
 ``SolveTrace`` it returns, which holds the one copy of those counters.
 A portfolio worker whose stack runs dry with budget left pushes a random
 root (a reseed); an LNS sub-solve ends there instead, and also once it
-has gone ``stall_nodes`` nodes without a new incumbent.
+has gone ``stall_nodes`` nodes without a new incumbent below ``cutoff``,
+the caller's incumbent value.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ class SolveTrace:
     lmo_calls: int = 0
     # store incumbents adopted: 1 when the store held one at the first root
     adoptions: int = 0
-    # nodes of the LNS sub-solves that ran, and how many the stall rule ended
+    # LNS sub-solves that ran (a stored result does not count), their
+    # nodes, and how many of them the stall rule ended
+    sub_solves: int = 0
     sub_nodes: int = 0
     sub_stalls: int = 0
 
@@ -241,6 +244,7 @@ def solve(
     t0: float | None = None,
     *,
     stall_nodes: int | None = None,
+    cutoff: float = math.inf,
 ) -> SolveTrace:
     """Explore the penalty-relaxed problem depth-first and collect
     original-feasible incumbents.
@@ -256,8 +260,11 @@ def solve(
     incumbent, so the store is not read again.  Never prunes on objective
     bounds; stops on the time limit or the node limit, and with
     ``stall_nodes`` once that many nodes in a row have brought no new
-    incumbent (``"stalled"``).  A search past its deadline reports
-    ``"time_limit"``, whatever emptied its stack.  A search with a store
+    incumbent strictly below ``cutoff`` (``"stalled"``).  An LNS sub-solve
+    passes its caller's incumbent value as ``cutoff``, so only a point that
+    could help the caller restarts the count; ``cutoff`` moves only where
+    the search stops, not the path it takes.  A search past its deadline
+    reports ``"time_limit"``, whatever emptied its stack.  A search with a store
     (a portfolio worker) whose stack runs dry with budget left pushes a
     random root, counted in ``reseeds``, apart from ``restart_count``.
     Once a reseed root's relaxation rounds to a candidate the pool has
@@ -311,10 +318,15 @@ def solve(
     # Every sub-problem is ``replace(problem, lb=..., ub=...)``, and the
     # nested solve reads nothing else that changes within this call
     # (config and seed, objective, original, uncrush, repair and t0 are
-    # fixed, and its node cap and stall limit are constants), so under its
-    # node limit it is a pure function of the bounds; under the deadline a
-    # repeat would only have less time.  Each distinct pair of bounds is
-    # therefore solved once per call, across restarts.
+    # fixed, and its node cap and stall limit are constants) but the
+    # cutoff, this pool's incumbent value.  The cutoff moves only where the
+    # nested search stops, never the path it takes, so under its node
+    # limit that path is a function of the bounds.  The cutoff only falls
+    # within this call, and a lower one counts a subset of the gains, so a
+    # repeat would stop no later: it would run a prefix of the stored
+    # search, whose point is at least as good as the repeat's; under the
+    # deadline a repeat would also have less time.  Each distinct pair of
+    # bounds is therefore solved once per call, across restarts.
     solved: dict[tuple[bytes, bytes], np.ndarray | None] = {}
 
     def subsolve(sub_problem: Problem):
@@ -336,8 +348,10 @@ def solve(
             store=None,
             t0=t0,
             stall_nodes=lns.SUBPROBLEM_STALL_NODES,
+            cutoff=pool.incumbent_value,
         )
         trace.lmo_calls += sub_trace.lmo_calls
+        trace.sub_solves += 1
         trace.sub_nodes += sub_trace.node_count
         trace.sub_stalls += sub_trace.termination == "stalled"
         solved[key] = sub_trace.incumbent_reform
@@ -364,7 +378,7 @@ def solve(
     termination = "exhausted"
     first_warm = False  # the kind of the first restart, fixed when it happens
     reseed = store is not None  # a dry stack gets a random root
-    last_gain = 0  # node count just after the last node that found an incumbent
+    last_gain = 0  # node count just after the last node that beat the cutoff
 
     while True:
         if time.monotonic() > deadline:
@@ -467,7 +481,7 @@ def solve(
                 stack.append(down)  # down branch explored first
 
         trace.node_count += 1
-        if len(trace.events) > found:
+        if len(trace.events) > found and trace.events[-1][1] < cutoff:
             last_gain = trace.node_count
         # every R nodes a restart: the first is warm when an incumbent
         # exists, the kinds then alternate, and a warm turn without an

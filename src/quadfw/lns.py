@@ -12,11 +12,13 @@ ASENS, RINS and probability rounding (for its continuous remainder) fix
 variables and hand ``replace(problem, lb=..., ub=...)`` to an injected
 ``subsolve`` callable, which the caller runs without LNS, capped at
 ``SUBPROBLEM_NODE_CAP`` nodes, stopped after ``SUBPROBLEM_STALL_NODES``
-nodes in a row without a new incumbent of its own (the stall-node limit
-of SCIP's sub-MIP heuristics, Berthold 2006) and at the run's deadline,
-so sub-solves never nest.  ``subsolve`` solves each distinct pair of bounds
-once per search and may return the point it stored for an earlier call,
-so callers must not mutate what it returns.  Undercover's remainder is a
+nodes in a row without a new incumbent below the caller's incumbent
+value (the stall-node limit of SCIP's sub-MIP heuristics, Berthold 2006,
+counted against the caller's incumbent) and at the run's deadline, so
+sub-solves never nest; it returns its own best point all the same.
+``subsolve`` solves each distinct pair of bounds once per search and may
+return the point it stored for an earlier call, so callers must not
+mutate what it returns.  Undercover's remainder is a
 MILP by construction and goes to the internal MIP directly.
 """
 

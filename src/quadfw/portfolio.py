@@ -113,14 +113,15 @@ def run_portfolio(problem: Problem, config: Config, return_details: bool = False
 def _worker_stats(trace: bnb.SolveTrace, objective: SmoothObjective) -> dict:
     """One worker's counters for the report: its search's node count,
     termination, MIP-oracle calls and whether it adopted the store's
-    incumbent, the nodes of its LNS sub-solves and how many of those the
-    stall limit ended, and the calls its objective answered and the
+    incumbent, the LNS sub-solves that ran, their nodes and how many of
+    them the stall limit ended, and the calls its objective answered and the
     stacked row products it computed for them."""
     return {
         "nodes": trace.node_count,
         "termination": trace.termination,
         "lmo_calls": trace.lmo_calls,
         "adoptions": trace.adoptions,
+        "sub_solves": trace.sub_solves,
         "sub_nodes": trace.sub_nodes,
         "sub_stalls": trace.sub_stalls,
         "value_calls": objective.n_value_evals,

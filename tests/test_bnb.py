@@ -489,7 +489,7 @@ class TestDryStack:
 
 class TestStallLimit:
     """``solve(stall_nodes=N)``, as LNS sub-solves run, stops once N nodes
-    in a row have brought no new incumbent."""
+    in a row have brought no new incumbent below ``cutoff``."""
 
     @staticmethod
     def sub_solve(monkeypatch, stall_nodes):
@@ -526,10 +526,10 @@ class TestStallLimit:
         assert (trace.node_count, trace.termination) == (5, "stalled")
 
     @staticmethod
-    def scripted_solve(monkeypatch, gains, stall_nodes):
+    def scripted_solve(monkeypatch, gains, stall_nodes, cutoff=math.inf):
         """Solve a problem whose tree outlives 60 nodes (every relaxation
-        is fractional) with a pool that finds an incumbent at each node
-        index in ``gains`` and nowhere else."""
+        is fractional) with a pool that finds an incumbent of value
+        ``-node`` at each node index in ``gains`` and nowhere else."""
         pending = set(gains)
 
         def scripted(pool, x):
@@ -544,7 +544,7 @@ class TestStallLimit:
         n = 8
         p = binary_problem(n, [(i, i, 1.0) for i in range(n)], -np.ones(n))
         cfg = Config(workers=1, time_limit=60.0, node_limit=60, enable_lns=False)
-        return solve(p, cfg, stall_nodes=stall_nodes)
+        return solve(p, cfg, stall_nodes=stall_nodes, cutoff=cutoff)
 
     def test_without_stall_nodes_never_stalls(self, monkeypatch):
         trace, gains = self.sub_solve(monkeypatch, None)
@@ -560,6 +560,16 @@ class TestStallLimit:
         trace = self.scripted_solve(monkeypatch, {2, 6, 10}, 5)
         assert len(trace.events) == 3
         assert (trace.node_count, trace.termination) == (16, "stalled")
+
+    def test_only_incumbents_below_the_cutoff_restart_the_count(self, monkeypatch):
+        # -2 lies above the cutoff and -4 on it: neither restarts the count
+        trace = self.scripted_solve(monkeypatch, {2, 4}, 5, cutoff=-4.0)
+        assert [v for _, v in trace.events] == [-2.0, -4.0]
+        assert (trace.node_count, trace.termination) == (5, "stalled")
+        # -4 lies below it and restarts the count after node 4
+        trace = self.scripted_solve(monkeypatch, {2, 4}, 5, cutoff=-3.0)
+        assert [v for _, v in trace.events] == [-2.0, -4.0]
+        assert (trace.node_count, trace.termination) == (10, "stalled")
 
 
 def bounds_key(problem):
@@ -590,7 +600,7 @@ class TestSubsolveReuse:
         assert first.incumbent_reform.tobytes() == second.incumbent_reform.tobytes()
 
     def test_nested_solve_with_a_stall_limit_is_a_function_of_its_bounds(self):
-        # the stall limit is a constant, so the stored point stays exact
+        # with the stall limit a constant, one cutoff gives one search
         p = random_miqcqp(np.random.default_rng(2), 16, n_quad=3, n_lin=2)
         ub = p.ub.copy()
         ub[0] = p.lb[0]
@@ -605,6 +615,50 @@ class TestSubsolveReuse:
         assert [v for (_, v) in first.events] == [v for (_, v) in second.events]
         assert first.incumbent_reform is not None
         assert first.incumbent_reform.tobytes() == second.incumbent_reform.tobytes()
+
+    def test_a_lower_cutoff_runs_a_prefix_of_the_search(self):
+        # what makes the stored point dominate a repeat: the caller's
+        # incumbent only falls, and a lower cutoff stops the same search
+        # no later (its one incumbent comes at node 8)
+        p = random_miqcqp(np.random.default_rng(2), 16, n_quad=3, n_lin=2)
+        ub = p.ub.copy()
+        ub[0] = p.lb[0]
+        sub = replace(p, ub=ub)
+        cfg = Config(workers=1, time_limit=60.0, seed=4, enable_lns=False, node_limit=60)
+        objective = SmoothObjective(p, 1.5)
+        t0 = time.monotonic()
+        first = solve(sub, cfg, objective=objective, t0=t0, stall_nodes=10)
+        (value,) = [v for _, v in first.events]
+        traces = [first] + [
+            solve(sub, cfg, objective=objective, t0=t0, stall_nodes=10, cutoff=cutoff)
+            for cutoff in (value + 1.0, value, value - 1.0)
+        ]
+        for earlier, later in zip(traces, traces[1:]):
+            assert later.node_count <= earlier.node_count
+            values = [v for _, v in later.events]
+            assert values == [v for _, v in earlier.events][:len(values)]
+        assert [t.node_count for t in traces] == [19, 19, 10, 10]
+        assert all(t.termination == "stalled" for t in traces)
+
+    def test_sub_solves_get_the_callers_incumbent_as_cutoff(self, monkeypatch):
+        # the worker's pool adopts no store incumbent here, so each cutoff
+        # is inf or a value the worker found, and they never rise
+        cutoffs, real_solve = [], bnb.solve
+
+        def recording(problem, config, *args, **kwargs):
+            if kwargs.get("store") is None:
+                cutoffs.append(kwargs["cutoff"])
+            return real_solve(problem, config, *args, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve", recording)
+        p = random_binary_qp(np.random.default_rng(1), 8)
+        trace = real_solve(p, Config(workers=1, time_limit=60.0, node_limit=30, seed=1),
+                           store=IncumbentStore())
+        found = {v for _, v in trace.events}
+        assert any(c < math.inf for c in cutoffs)
+        assert all(c == math.inf or c in found for c in cutoffs)
+        assert cutoffs == sorted(cutoffs, reverse=True)
+        assert trace.sub_solves == len(cutoffs)
 
     @staticmethod
     def count_nested(monkeypatch):

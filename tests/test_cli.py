@@ -289,12 +289,22 @@ class TestPortfolio:
             for x in trace.event_points:
                 assert check_feasibility(p, x, 1e-6, 1e-6).feasible
 
-    def test_report_events_are_the_workers_events_in_order(self):
+    def test_report_events_are_the_workers_events_in_order(self, monkeypatch):
         # each later worker starts from the store's best, so its events
-        # improve on every earlier worker's and need no merge
+        # improve on every earlier worker's and need no merge; worker 0
+        # (seed 0) gets one node, so a later worker has room to improve on it
+        solve = bnb.solve
+
+        def first_worker_short(problem, config, **kwargs):
+            if kwargs["store"] is not None and config.seed == 0:  # not a sub-solve
+                config = replace(config, node_limit=1)
+            return solve(problem, config, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve", first_worker_short)
         p = random_miqcqp(np.random.default_rng(1), 8, n_quad=2, n_lin=2)
         cfg = Config(workers=3, time_limit=60.0, node_limit=8, seed=0)
         report, traces = run_portfolio(p, cfg, return_details=True)
+        assert traces[0].node_count == 1
         assert sum(1 for t in traces if t.events) >= 2
         assert report.events == [
             (round(t, 3), v) for trace in traces for (t, v) in trace.events]
@@ -449,6 +459,7 @@ class TestPortfolio:
         p = random_miqcqp(np.random.default_rng(4), 10, n_quad=2, n_lin=1)
         report = run_portfolio(p, Config(workers=1, time_limit=60.0, node_limit=30, seed=0))
         (entry,) = report.to_dict()["stats"]["workers"]
+        assert entry["sub_solves"] == len(sub_traces)
         assert entry["sub_nodes"] == sum(t.node_count for t in sub_traces) > 0
         assert entry["sub_stalls"] == sum(t.termination == "stalled" for t in sub_traces) > 0
 
